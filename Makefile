@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench bench-smoke profile cover fuzz verify verify-full
+.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench bench-smoke perfbench-smoke profile cover fuzz verify verify-full
 
 build:
 	$(GO) build ./...
@@ -102,6 +102,20 @@ bench-smoke:
 	$(GO) run ./cmd/chimera-benchcmp -exp B15 BENCH_stream.json BENCH_stream_smoke.json
 	$(GO) run ./cmd/chimera-bench -exp B16 -smoke -json BENCH_ro_smoke.json
 	$(GO) run ./cmd/chimera-benchcmp -exp B16 BENCH_ro.json BENCH_ro_smoke.json
+
+# End-to-end benchmark smoke (perfbench/LAYERS.md): the perfbench unit
+# tests, then a 1-second untraced run of each workload on seed 1 with
+# every correctness gate in force — oltp-inventory's seeded prefix
+# against the reference engine and its recovered fingerprint,
+# stream-fraud's streamed run against the same events replayed as
+# lines, rw-snapshot's snapshot pair sums. A failed gate exits non-zero;
+# the timings printed are not compared. About 15 s on a 2-core host.
+PERFBENCH_WORKLOADS = oltp-inventory stream-fraud rw-snapshot
+perfbench-smoke:
+	$(GO) -C perfbench test .
+	for w in $(PERFBENCH_WORKLOADS); do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # CPU + heap profiles of one experiment (default: the B13 hot-loop
 # sweep). Inspect with `go tool pprof cpu.pprof` / `mem.pprof`.

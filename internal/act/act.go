@@ -31,8 +31,9 @@ type Mutator interface {
 // Statement is one action statement.
 type Statement interface {
 	fmt.Stringer
-	// Exec runs the statement over every binding.
-	Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error
+	// Exec runs the statement over every binding of rows. The table is
+	// the condition's result and stays untouched while Exec runs.
+	Exec(ctx *cond.Ctx, m Mutator, rows *cond.Table) error
 }
 
 // Create instantiates an object per binding (once total when the value
@@ -46,12 +47,13 @@ type Create struct {
 }
 
 // Exec evaluates the value terms under each binding and creates objects.
-func (s Create) Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error {
-	run := bindings
+func (s Create) Exec(ctx *cond.Ctx, m Mutator, rows *cond.Table) error {
+	n := rows.Len()
 	if s.Once {
-		run = bindings[:1]
+		n = min(n, 1)
 	}
-	for _, env := range run {
+	for i := 0; i < n; i++ {
+		env := rows.Row(i)
 		vals := make(map[string]types.Value, len(s.Vals))
 		for attr, term := range s.Vals {
 			v, err := term.Eval(ctx, env)
@@ -100,14 +102,12 @@ type Modify struct {
 }
 
 // Exec applies the modification per binding.
-func (s Modify) Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error {
-	for _, env := range bindings {
-		ref, ok := env[s.Var]
-		if !ok {
-			return fmt.Errorf("act: unbound variable %s", s.Var)
-		}
-		if ref.Kind() != types.KindOID {
-			return fmt.Errorf("act: %s is not an object variable", s.Var)
+func (s Modify) Exec(ctx *cond.Ctx, m Mutator, rows *cond.Table) error {
+	for i := 0; i < rows.Len(); i++ {
+		env := rows.Row(i)
+		ref, err := objectVar(env, s.Var)
+		if err != nil {
+			return err
 		}
 		v, err := s.Value.Eval(ctx, env)
 		if err != nil {
@@ -130,28 +130,11 @@ type Delete struct {
 	Var string
 }
 
-// Exec deletes per binding, tolerating objects already deleted by an
-// earlier binding of the same set-oriented execution.
-func (s Delete) Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error {
-	deleted := make(map[types.OID]bool)
-	for _, env := range bindings {
-		ref, ok := env[s.Var]
-		if !ok {
-			return fmt.Errorf("act: unbound variable %s", s.Var)
-		}
-		if ref.Kind() != types.KindOID {
-			return fmt.Errorf("act: %s is not an object variable", s.Var)
-		}
-		oid := ref.AsOID()
-		if deleted[oid] {
-			continue
-		}
-		if err := m.Delete(oid); err != nil {
-			return err
-		}
-		deleted[oid] = true
-	}
-	return nil
+// Exec deletes per binding, once per distinct object: an object bound
+// by several bindings of the same set-oriented execution is deleted by
+// the first.
+func (s Delete) Exec(ctx *cond.Ctx, m Mutator, rows *cond.Table) error {
+	return eachObject(rows, s.Var, m.Delete)
 }
 
 // String renders delete(Var).
@@ -164,8 +147,8 @@ type Specialize struct {
 }
 
 // Exec specializes per binding.
-func (s Specialize) Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error {
-	return migrate(bindings, s.Var, func(oid types.OID) error { return m.Specialize(oid, s.To) })
+func (s Specialize) Exec(ctx *cond.Ctx, m Mutator, rows *cond.Table) error {
+	return eachObject(rows, s.Var, func(oid types.OID) error { return m.Specialize(oid, s.To) })
 }
 
 // String renders specialize(Var, class).
@@ -178,22 +161,21 @@ type Generalize struct {
 }
 
 // Exec generalizes per binding.
-func (s Generalize) Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error {
-	return migrate(bindings, s.Var, func(oid types.OID) error { return m.Generalize(oid, s.To) })
+func (s Generalize) Exec(ctx *cond.Ctx, m Mutator, rows *cond.Table) error {
+	return eachObject(rows, s.Var, func(oid types.OID) error { return m.Generalize(oid, s.To) })
 }
 
 // String renders generalize(Var, class).
 func (s Generalize) String() string { return fmt.Sprintf("generalize(%s, %s)", s.Var, s.To) }
 
-func migrate(bindings []cond.Binding, varName string, fn func(types.OID) error) error {
+// eachObject applies fn once per distinct object bound to varName, in
+// row order.
+func eachObject(rows *cond.Table, varName string, fn func(types.OID) error) error {
 	done := make(map[types.OID]bool)
-	for _, env := range bindings {
-		ref, ok := env[varName]
-		if !ok {
-			return fmt.Errorf("act: unbound variable %s", varName)
-		}
-		if ref.Kind() != types.KindOID {
-			return fmt.Errorf("act: %s is not an object variable", varName)
+	for i := 0; i < rows.Len(); i++ {
+		ref, err := objectVar(rows.Row(i), varName)
+		if err != nil {
+			return err
 		}
 		oid := ref.AsOID()
 		if done[oid] {
@@ -207,15 +189,27 @@ func migrate(bindings []cond.Binding, varName string, fn func(types.OID) error) 
 	return nil
 }
 
+// objectVar returns the object reference a binding gives varName.
+func objectVar(env cond.Binding, varName string) (types.Value, error) {
+	ref, ok := env.Lookup(varName)
+	if !ok {
+		return types.Null, fmt.Errorf("act: unbound variable %s", varName)
+	}
+	if ref.Kind() != types.KindOID {
+		return types.Null, fmt.Errorf("act: %s is not an object variable", varName)
+	}
+	return ref, nil
+}
+
 // Action is the ordered statement list of a rule's action part.
 type Action struct {
 	Statements []Statement
 }
 
 // Exec runs the statements in order over the binding set.
-func (a Action) Exec(ctx *cond.Ctx, m Mutator, bindings []cond.Binding) error {
+func (a Action) Exec(ctx *cond.Ctx, m Mutator, rows *cond.Table) error {
 	for _, s := range a.Statements {
-		if err := s.Exec(ctx, m, bindings); err != nil {
+		if err := s.Exec(ctx, m, rows); err != nil {
 			return fmt.Errorf("%s: %w", s, err)
 		}
 	}

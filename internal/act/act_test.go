@@ -62,11 +62,23 @@ func fixture(t *testing.T) (*cond.Ctx, *recorder, types.OID, types.OID) {
 	return &cond.Ctx{Store: st}, &recorder{store: st}, o1, o2
 }
 
-func bindingsFor(oids ...types.OID) []cond.Binding {
-	var out []cond.Binding
+func bindingsFor(oids ...types.OID) *cond.Table {
+	return rowsOf("S", oids...)
+}
+
+// rowsOf returns a one-variable table binding v to each OID in turn.
+func rowsOf(v string, oids ...types.OID) *cond.Table {
+	out := cond.NewTable(v)
 	for _, oid := range oids {
-		out = append(out, cond.Binding{"S": types.Ref(oid)})
+		out.Add(types.Ref(oid))
 	}
+	return out
+}
+
+// oneRow returns a one-variable table with a single row binding v to val.
+func oneRow(v string, val types.Value) *cond.Table {
+	out := cond.NewTable(v)
+	out.Add(val)
 	return out
 }
 
@@ -96,7 +108,7 @@ func TestCreatePerBindingAndOnce(t *testing.T) {
 	if err := per.Exec(ctx, m, bindingsFor(o1, o2)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := ctx.Store.Select("order")
+	got, _ := ctx.Store.Extension("order")
 	if len(got) != 2 {
 		t.Fatalf("per-binding create made %d orders", len(got))
 	}
@@ -104,7 +116,7 @@ func TestCreatePerBindingAndOnce(t *testing.T) {
 	if err := once.Exec(ctx, m, bindingsFor(o1, o2)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = ctx.Store.Select("order")
+	got, _ = ctx.Store.Extension("order")
 	if len(got) != 3 {
 		t.Fatalf("Once create made %d total orders, want 3", len(got))
 	}
@@ -129,7 +141,7 @@ func TestDeleteDedupes(t *testing.T) {
 func TestSpecializeGeneralizeStatements(t *testing.T) {
 	ctx, m, _, _ := fixture(t)
 	oid, _ := ctx.Store.(*object.Store).Create("order", map[string]types.Value{"item": types.String_("x")})
-	bs := []cond.Binding{{"O": types.Ref(oid)}}
+	bs := rowsOf("O", oid)
 	if err := (Specialize{Var: "O", To: "bigOrder"}).Exec(ctx, m, bs); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +167,7 @@ func TestStatementErrors(t *testing.T) {
 		Value: cond.Attr{Var: "S", Attr: "ghost"}}).Exec(ctx, m, bindingsFor(o1)); err == nil {
 		t.Fatal("unknown attribute term accepted")
 	}
-	if err := (Delete{Var: "S"}).Exec(ctx, m, []cond.Binding{{"S": types.Int(3)}}); err == nil {
+	if err := (Delete{Var: "S"}).Exec(ctx, m, oneRow("S", types.Int(3))); err == nil {
 		t.Fatal("non-object variable accepted")
 	}
 	bad := Action{Statements: []Statement{
@@ -210,7 +222,7 @@ func TestMigrateErrors(t *testing.T) {
 		t.Error("unbound specialize accepted")
 	}
 	if err := (Generalize{Var: "O", To: "order"}).Exec(ctx, m,
-		[]cond.Binding{{"O": types.Int(1)}}); err == nil {
+		oneRow("O", types.Int(1))); err == nil {
 		t.Error("non-object generalize accepted")
 	}
 }

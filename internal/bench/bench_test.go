@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -132,5 +136,63 @@ func TestB15MicroRun(t *testing.T) {
 	tab := B15FromResults(B15Result{Throughput: sweep, Soak: soak})
 	if tab.ID != "B15" || len(tab.Rows) != 9 {
 		t.Fatalf("unexpected table shape: id=%s rows=%d", tab.ID, len(tab.Rows))
+	}
+}
+
+// The cheap paper experiments produce their full tables.
+func TestPaperExperimentTables(t *testing.T) {
+	for _, tab := range []Table{B3(), B4(), B6(), B7()} {
+		if len(tab.Rows) == 0 || len(tab.Header) == 0 {
+			t.Errorf("%s: empty table", tab.ID)
+		}
+	}
+}
+
+// Every committed results file decodes into its experiment's result
+// type and renders as that experiment's table: the writers and readers
+// of BENCH_*.json agree on the schema.
+func TestCommittedResultsRender(t *testing.T) {
+	load := func(name string, into any) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, into); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	var (
+		b8  []B8Result
+		b9  []B9Result
+		b10 []B10Result
+		b11 []B11Result
+		b12 []B12Result
+		b13 []B13Result
+		b14 B14Result
+		b15 B15Result
+		b16 B16Result
+	)
+	load("BENCH_trigger.json", &b8)
+	load("BENCH_eb.json", &b9)
+	load("BENCH_obs.json", &b10)
+	load("BENCH_cse.json", &b11)
+	load("BENCH_mt.json", &b12)
+	load("BENCH_col.json", &b13)
+	load("BENCH_wal.json", &b14)
+	load("BENCH_stream.json", &b15)
+	load("BENCH_ro.json", &b16)
+	tables := []Table{
+		B8FromResults(b8), B9FromResults(b9), B10FromResults(b10),
+		B11FromResults(b11), B12FromResults(b12), B13FromResults(b13),
+		B14FromResults(b14), B15FromResults(b15), B16FromResults(b16),
+	}
+	for i, tab := range tables {
+		if want := fmt.Sprintf("B%d", i+8); tab.ID != want || len(tab.Rows) == 0 {
+			t.Errorf("table %s (want %s) has %d rows", tab.ID, want, len(tab.Rows))
+		}
+		if tab.String() == "" || tab.CSV() == "" {
+			t.Errorf("%s renders empty", tab.ID)
+		}
 	}
 }

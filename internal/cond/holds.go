@@ -94,7 +94,7 @@ func NetEffects(ctx *Ctx, class string) map[types.OID]NetKind {
 
 // Eval binds or filters Var by the objects whose net effect matches the
 // predicate's event type.
-func (a Holds) Eval(ctx *Ctx, in []Binding) ([]Binding, error) {
+func (a Holds) Eval(ctx *Ctx, in, out *Table) error {
 	var want NetKind
 	switch a.Event.Op {
 	case event.OpCreate:
@@ -104,7 +104,7 @@ func (a Holds) Eval(ctx *Ctx, in []Binding) ([]Binding, error) {
 	case event.OpModify:
 		want = NetModify
 	default:
-		return nil, fmt.Errorf("cond: holds supports create/delete/modify, got %s", a.Event.Op)
+		return fmt.Errorf("cond: holds supports create/delete/modify, got %s", a.Event.Op)
 	}
 	nets := NetEffects(ctx, a.Event.Class)
 	// For modify with a named attribute, additionally require that
@@ -135,21 +135,22 @@ func (a Holds) Eval(ctx *Ctx, in []Binding) ([]Binding, error) {
 			}
 		}
 	}
-	var out []Binding
-	for _, env := range in {
-		if v, bound := env[a.Var]; bound {
-			if v.Kind() == types.KindOID && matches(v.AsOID()) {
-				out = append(out, env)
+	if col := in.col(a.Var); col >= 0 {
+		out.Derive(in)
+		for r := 0; r < in.rows; r++ {
+			if v := in.value(r, col); v.Kind() == types.KindOID && matches(v.AsOID()) {
+				out.Keep(in, r)
 			}
-			continue
 		}
+		return nil
+	}
+	out.Derive(in, a.Var)
+	for r := 0; r < in.rows; r++ {
 		for _, oid := range candidates {
-			ext := env.clone()
-			ext[a.Var] = types.Ref(oid)
-			out = append(out, ext)
+			out.extend(in, r, types.Ref(oid))
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // String renders holds(E, X).

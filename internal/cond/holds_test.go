@@ -39,10 +39,11 @@ func holdsFixture(t *testing.T) *Ctx {
 	return &Ctx{Store: st, Base: b, Since: clock.Never, At: 10}
 }
 
-func oidsOf(bs []Binding, v string) []types.OID {
+func oidsOf(tab *Table, v string) []types.OID {
 	var out []types.OID
-	for _, b := range bs {
-		out = append(out, b[v].AsOID())
+	for i := 0; i < tab.Len(); i++ {
+		b, _ := tab.Row(i).Lookup(v)
+		out = append(out, b.AsOID())
 	}
 	return out
 }
@@ -51,7 +52,7 @@ func TestHoldsNetEffect(t *testing.T) {
 	ctx := holdsFixture(t)
 
 	// holds(create(stock), X): only o1 (o2 was created then deleted).
-	out, err := Holds{Event: event.Create("stock"), Var: "X"}.Eval(ctx, []Binding{{}})
+	out, err := evalAtom(ctx, Holds{Event: event.Create("stock"), Var: "X"}, unit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestHoldsNetEffect(t *testing.T) {
 	}
 
 	// holds(delete(stock), X): only o4 (pre-existing, modified, deleted).
-	out, err = Holds{Event: event.Delete("stock"), Var: "X"}.Eval(ctx, []Binding{{}})
+	out, err = evalAtom(ctx, Holds{Event: event.Delete("stock"), Var: "X"}, unit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestHoldsNetEffect(t *testing.T) {
 
 	// holds(modify(stock.quantity), X): only o3 (o1's modify folds into
 	// its creation; o4's into its deletion).
-	out, err = Holds{Event: event.Modify("stock", "quantity"), Var: "X"}.Eval(ctx, []Binding{{}})
+	out, err = evalAtom(ctx, Holds{Event: event.Modify("stock", "quantity"), Var: "X"}, unit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +82,17 @@ func TestHoldsNetEffect(t *testing.T) {
 
 func TestHoldsBoundVariableFilters(t *testing.T) {
 	ctx := holdsFixture(t)
-	in := []Binding{{"X": types.Ref(types.OID(1))}, {"X": types.Ref(types.OID(2))}}
-	out, err := Holds{Event: event.Create("stock"), Var: "X"}.Eval(ctx, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := oidsOf(out, "X"); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("filtered holds = %v", got)
-	}
+	created := Holds{Event: event.Create("stock"), Var: "X"}
+	wantRows(t, ctx, created, refs("X", 2, 1), "X=o1")
+	// A non-object value is dropped, not an error.
+	wantRows(t, ctx, created, tableOf([]string{"X"}, []types.Value{types.Int(1)}), "")
+	// Unbound over several rows: input rows outermost, candidates in
+	// first-touch order.
+	ctx.Since = 1
+	modified := Holds{Event: event.Modify("stock", "quantity"), Var: "X"}
+	in := tableOf([]string{"T"}, []types.Value{types.TimeVal(2)}, []types.Value{types.TimeVal(1)})
+	wantRows(t, ctx, modified, in, "T=t2 X=o1; T=t2 X=o3; T=t1 X=o1; T=t1 X=o3")
+	wantRows(t, ctx, modified, refs("X", 3, 2, 1), "X=o3; X=o1")
 }
 
 func TestHoldsWindowRespected(t *testing.T) {
@@ -98,7 +102,7 @@ func TestHoldsWindowRespected(t *testing.T) {
 	// outside. Use (1, 10]: create at t1 excluded, modify at t2 included
 	// → o1 nets to modify.
 	ctx.Since = 1
-	out, err := Holds{Event: event.Modify("stock", "quantity"), Var: "X"}.Eval(ctx, []Binding{{}})
+	out, err := evalAtom(ctx, Holds{Event: event.Modify("stock", "quantity"), Var: "X"}, unit())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,7 @@ func TestHoldsWindowRespected(t *testing.T) {
 
 func TestHoldsRejectsNonNetOps(t *testing.T) {
 	ctx := holdsFixture(t)
-	if _, err := (Holds{Event: event.T(event.OpSelect, "stock"), Var: "X"}).Eval(ctx, []Binding{{}}); err == nil {
+	if _, err := evalAtom(ctx, Holds{Event: event.T(event.OpSelect, "stock"), Var: "X"}, unit()); err == nil {
 		t.Fatal("holds(select) accepted")
 	}
 }

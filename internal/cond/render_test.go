@@ -41,7 +41,7 @@ func TestAtomAndTermRendering(t *testing.T) {
 
 func TestVarTermEval(t *testing.T) {
 	ctx := &Ctx{}
-	v, err := Var{Name: "T"}.Eval(ctx, Binding{"T": types.TimeVal(9)})
+	v, err := Var{Name: "T"}.Eval(ctx, bind("T", types.TimeVal(9)))
 	if err != nil || v.AsTime() != 9 {
 		t.Fatalf("Var eval = %v, %v", v, err)
 	}

@@ -155,15 +155,19 @@ type Options struct {
 	// persisted by checkpoints, and engine.Recover rebuilds a
 	// bit-identical engine after a crash (DESIGN.md §13). Durable
 	// databases are constructed with Open, not New, and require the
-	// columnar Event Base in single-session mode.
+	// columnar Event Base. They run with any MaxSessions: concurrent
+	// lines stage their runs and share the group committer's fsyncs
+	// (DESIGN.md §16). Only automatic checkpoints (CheckpointEvery)
+	// require single-session mode; a multi-session database checkpoints
+	// explicitly, with DB.Checkpoint at idle.
 	Durability DurabilityOptions
 }
 
 // Validate checks the options for constructor use. Negative limits are
 // rejected rather than silently clamped, and durability's structural
-// requirements (columnar Event Base, single session) are enforced up
-// front — a misconfiguration must fail at Open, not at the first
-// checkpoint.
+// requirements (the columnar Event Base, and single-session mode for
+// automatic checkpoints) are enforced up front — a misconfiguration
+// must fail at Open, not at the first checkpoint.
 func (o Options) Validate() error {
 	if o.SegmentSize < 0 {
 		return fmt.Errorf("engine: negative SegmentSize %d", o.SegmentSize)
@@ -602,6 +606,9 @@ type Txn struct {
 	// transaction existed.
 	runBuf  []byte
 	runRecs int
+	// scratch holds the condition tables of the transaction's
+	// considerations, from scratchPool; finish returns it.
+	scratch *cond.Scratch
 }
 
 // stageRec frames one record into the transaction's private run buffer
@@ -1151,21 +1158,27 @@ func (t *Txn) runRule(name string) error {
 		At:     consideration.At,
 		Budget: t.budget,
 	}
-	bindings, err := evalCondition(body, ctx)
+	if t.scratch == nil {
+		t.scratch = scratchPool.Get().(*cond.Scratch)
+	}
+	rows, err := evalCondition(body, ctx, t.scratch)
 	if err != nil {
 		return t.classify(t.conflict(fmt.Errorf("engine: rule %q condition: %w", name, err)))
 	}
 	if t.db.tracer != nil {
-		t.db.tracer.Considered(name, consideration.Since, consideration.At, len(bindings))
+		t.db.tracer.Considered(name, consideration.Since, consideration.At, rows.Len())
 	}
-	if len(bindings) == 0 {
+	if rows.Len() == 0 {
 		// Condition not satisfied: the rule was considered and is
 		// detriggered; nothing executes.
 		return t.flushBlock()
 	}
 	t.db.stats.ruleExecutions.Add(1)
 	t.db.m.executions.Inc()
-	if err := body.Action.Exec(ctx, (*txnMutator)(t), bindings); err != nil {
+	// The action reads the condition's rows from t.scratch while it
+	// mutates the store; nothing re-evaluates a condition until it
+	// returns, so the rows stay intact.
+	if err := body.Action.Exec(ctx, (*txnMutator)(t), rows); err != nil {
 		return fmt.Errorf("engine: rule %q action: %w", name, err)
 	}
 	if t.db.tracer != nil {
@@ -1179,10 +1192,15 @@ func (t *Txn) runRule(name string) error {
 // evalCondition runs one rule condition with a budget-fault boundary: a
 // budget tripping inside the condition's calculus evaluations unwinds to
 // here and converts into the typed error.
-func evalCondition(body Body, ctx *cond.Ctx) (bindings []cond.Binding, err error) {
+func evalCondition(body Body, ctx *cond.Ctx, s *cond.Scratch) (rows *cond.Table, err error) {
 	defer calculus.RecoverBudget(&err)
-	return body.Condition.Eval(ctx)
+	return body.Condition.Eval(ctx, s)
 }
+
+// scratchPool recycles condition tables across transactions, so a
+// steady-state consideration runs in tables already grown to the rule
+// set's binding counts.
+var scratchPool = sync.Pool{New: func() any { return new(cond.Scratch) }}
 
 // txnMutator adapts Txn to act.Mutator.
 type txnMutator Txn
@@ -1375,6 +1393,10 @@ func (t *Txn) finish() {
 	t.view.SetBudget(nil)
 	if sess, ok := t.view.(*rules.Session); ok {
 		sess.Release()
+	}
+	if t.scratch != nil {
+		scratchPool.Put(t.scratch)
+		t.scratch = nil
 	}
 	t.done = true
 	t.db.mu.Lock()

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"chimera/internal/act"
@@ -133,6 +135,98 @@ func TestSetOrientedSingleExecution(t *testing.T) {
 	}
 }
 
+// A rule whose action both grows and modifies the class its condition
+// scans, cascading into a second rule that scans it again. The
+// condition's rows live in tables the transaction reuses for every
+// consideration; the action must read exactly the rows its condition
+// produced, in order, while it mutates the store and the class
+// extension, and the cascaded consideration must see the new state.
+func TestActionOverScannedClassKeepsRows(t *testing.T) {
+	db := stockDB(t)
+	var items []types.OID
+	err := db.Run(func(tx *Txn) error {
+		for _, name := range []string{"a", "b", "c", "d"} {
+			oid, err := tx.Create("stock", map[string]types.Value{
+				"name": types.String_(name), "quantity": types.Int(5), "maxquantity": types.Int(10)})
+			if err != nil {
+				return err
+			}
+			items = append(items, oid)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attr := func(a string) cond.Attr { return cond.Attr{Var: "S", Attr: a} }
+	// split moves each item's excess over maxquantity into a new item.
+	modQty := calculus.P(event.Modify("stock", "quantity"))
+	if err := db.DefineRule(
+		rules.Def{Name: "split", Target: "stock", Event: modQty, Priority: 1},
+		Body{
+			Condition: cond.Formula{Atoms: []cond.Atom{
+				cond.Class{Class: "stock", Var: "S"},
+				cond.Occurred{Event: modQty, Var: "S"},
+				cond.Compare{L: attr("quantity"), Op: cond.CmpGt, R: attr("maxquantity")},
+			}},
+			Action: act.Action{Statements: []act.Statement{
+				act.Create{Class: "stock", Vals: map[string]cond.Term{
+					"name":        attr("name"),
+					"quantity":    cond.Arith{Op: cond.OpSub, L: attr("quantity"), R: attr("maxquantity")},
+					"maxquantity": attr("maxquantity"),
+				}},
+				act.Modify{Class: "stock", Attr: "quantity", Var: "S", Value: attr("maxquantity")},
+			}},
+		}); err != nil {
+		t.Fatal(err)
+	}
+	// mark flags every item created since its last consideration.
+	created := calculus.P(event.Create("stock"))
+	if err := db.DefineRule(
+		rules.Def{Name: "mark", Target: "stock", Event: created, Priority: 2},
+		Body{
+			Condition: cond.Formula{Atoms: []cond.Atom{
+				cond.Class{Class: "stock", Var: "S"},
+				cond.Occurred{Event: created, Var: "S"},
+			}},
+			Action: act.Action{Statements: []act.Statement{
+				act.Modify{Class: "stock", Attr: "minquantity", Var: "S", Value: cond.Const{V: types.Int(1)}},
+			}},
+		}); err != nil {
+		t.Fatal(err)
+	}
+	err = db.Run(func(tx *Txn) error {
+		for i, q := range []int64{15, 30, 5, 12} {
+			if err := tx.Modify(items[i], "quantity", types.Int(q)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oids, _ := db.Store().Select("stock")
+	var got []string
+	for _, oid := range oids {
+		o, _ := db.Store().Get(oid)
+		got = append(got, fmt.Sprintf("%s:%s/%s/%s", o.MustGet("name"), o.MustGet("quantity"),
+			o.MustGet("maxquantity"), o.MustGet("minquantity")))
+	}
+	want := []string{
+		`"a":10/10/null`, `"b":10/10/null`, `"c":5/10/null`, `"d":10/10/null`,
+		`"a":5/10/1`, `"b":20/10/1`, `"d":2/10/1`,
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("stock after split =\n %v\nwant\n %v", got, want)
+	}
+	// One split (set-oriented, three rows), whose clamping re-triggers a
+	// split consideration that holds for nothing, and one mark.
+	if n := db.Stats().RuleExecutions; n != 2 {
+		t.Fatalf("RuleExecutions = %d, want 2", n)
+	}
+}
+
 // EndLine boundaries: an immediate rule runs after its line; objects
 // created on a later line are processed by a later consideration
 // (consuming mode).
@@ -253,9 +347,13 @@ func TestCascadeAndPriority(t *testing.T) {
 // always succeeds with the incoming bindings.
 type probe struct{ fn func() }
 
-func (p probe) Eval(_ *cond.Ctx, in []cond.Binding) ([]cond.Binding, error) {
+func (p probe) Eval(_ *cond.Ctx, in, out *cond.Table) error {
 	p.fn()
-	return in, nil
+	out.Derive(in)
+	for i := 0; i < in.Len(); i++ {
+		out.Keep(in, i)
+	}
+	return nil
 }
 func (p probe) String() string { return "probe" }
 
@@ -366,11 +464,14 @@ type recordVar struct {
 	out  *[]types.OID
 }
 
-func (r recordVar) Eval(_ *cond.Ctx, in []cond.Binding) ([]cond.Binding, error) {
-	for _, env := range in {
-		*r.out = append(*r.out, env[r.name].AsOID())
+func (r recordVar) Eval(_ *cond.Ctx, in, out *cond.Table) error {
+	out.Derive(in)
+	for i := 0; i < in.Len(); i++ {
+		v, _ := in.Row(i).Lookup(r.name)
+		*r.out = append(*r.out, v.AsOID())
+		out.Keep(in, i)
 	}
-	return in, nil
+	return nil
 }
 func (r recordVar) String() string { return "record(" + r.name + ")" }
 

@@ -2,6 +2,7 @@ package object
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"chimera/internal/schema"
@@ -259,8 +260,16 @@ func (ln *Line) Fetch(oid types.OID) (*Object, error) {
 // shared class latch held to line end: uncommitted extension changes by
 // other lines (which hold the class chain exclusively) either complete
 // before the scan or wait behind it, so the scan observes no half-done
-// line.
+// line. The slice is the caller's.
 func (ln *Line) Select(class string) ([]types.OID, error) {
+	ext, err := ln.Extension(class)
+	return slices.Clone(ext), err
+}
+
+// Extension is Select without the copy: the store's cached extension,
+// read under the same shared class latch, which the caller must not
+// modify.
+func (ln *Line) Extension(class string) ([]types.OID, error) {
 	if err := ln.checkOpen(); err != nil {
 		return nil, err
 	}
@@ -270,7 +279,7 @@ func (ln *Line) Select(class string) ([]types.OID, error) {
 	if err := ln.latch(latchKey{class: class}, false); err != nil {
 		return nil, err
 	}
-	return ln.s.Select(class)
+	return ln.s.Extension(class)
 }
 
 // Schema returns the catalog of the underlying store.

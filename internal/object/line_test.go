@@ -321,6 +321,105 @@ func TestLineStressContendedCounter(t *testing.T) {
 	}
 }
 
+// TestLineStressExtensionCache races reader lines filling the class
+// extension cache against writer lines whose creates, deletes and
+// rollbacks drop entries from it. Every extension a reader sees must be
+// ascending and whole: writers create and delete a stock item within
+// one line, so under the shared class latch readers always see the
+// seeded stock extension. Latches are taken in one class order
+// (notFilledOrder, order, stock) by every line. Exercised by
+// make race-stress.
+func TestLineStressExtensionCache(t *testing.T) {
+	st := newStockStore(t)
+	var seeded []types.OID
+	for i := 0; i < 20; i++ {
+		oid, err := st.Create("stock", map[string]types.Value{"quantity": types.Int(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeded = append(seeded, oid)
+	}
+	ascending := func(oids []types.OID) bool {
+		for i := 1; i < len(oids); i++ {
+			if oids[i-1] >= oids[i] {
+				return false
+			}
+		}
+		return true
+	}
+	const writers, readers, rounds = 2, 4, 40
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	committed := 0
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				ln := st.BeginLine(blockingOpts)
+				_, err := ln.Create("notFilledOrder", nil)
+				var tmp types.OID
+				if err == nil {
+					tmp, err = ln.Create("stock", nil)
+				}
+				if err == nil {
+					err = ln.Delete(tmp)
+				}
+				if err != nil {
+					t.Error(err)
+					ln.Rollback()
+					return
+				}
+				if r%3 == 0 {
+					ln.Rollback()
+					continue
+				}
+				ln.Commit()
+				mu.Lock()
+				committed++
+				mu.Unlock()
+			}
+		}()
+	}
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				ln := st.BeginLine(blockingOpts)
+				sub, err := ln.Extension("notFilledOrder")
+				var orders, stock []types.OID
+				if err == nil {
+					orders, err = ln.Select("order")
+				}
+				if err == nil {
+					stock, err = ln.Extension("stock")
+				}
+				ln.Commit()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !ascending(sub) || !ascending(orders) || len(sub) != len(orders) {
+					t.Errorf("order extensions %v and %v", sub, orders)
+					return
+				}
+				if len(stock) != len(seeded) || !ascending(stock) || stock[0] != seeded[0] {
+					t.Errorf("stock extension %v, want %v", stock, seeded)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	orders, _ := st.Select("order")
+	stock, _ := st.Extension("stock")
+	if len(orders) != committed || !ascending(orders) || len(stock) != len(seeded) {
+		t.Fatalf("after the run: %d orders (want %d), %d stock items (want %d)",
+			len(orders), committed, len(stock), len(seeded))
+	}
+}
+
 func TestLineClosedRejectsUse(t *testing.T) {
 	st := newStockStore(t)
 	ln := st.BeginLine(tryOpts)

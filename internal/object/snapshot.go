@@ -69,6 +69,15 @@ func (sn *Snapshot) Select(class string) ([]types.OID, error) {
 	return out, nil
 }
 
+// Extension is the read face cond evaluates class atoms through. A
+// snapshot's extensions never change, and it computes them on each call
+// rather than caching them: that keeps a published snapshot free of
+// mutable state, and the only condition evaluated against a snapshot is
+// a read transaction's where-filter.
+func (sn *Snapshot) Extension(class string) ([]types.OID, error) {
+	return sn.Select(class)
+}
+
 // cloneObject deep-copies an object for publication: the live store
 // mutates attribute maps in place, so published objects must own theirs.
 func cloneObject(o *Object) *Object {

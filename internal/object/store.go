@@ -12,6 +12,7 @@ package object
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -107,6 +108,7 @@ func (e undoEntry) apply(s *Store) {
 	case undoCreate:
 		delete(s.objects, e.oid)
 		delete(s.classSet(e.class), e.oid)
+		s.extChanged(e.class)
 		if e.reuse {
 			s.nextOID-- // creation is always the newest OID at undo time
 		}
@@ -128,6 +130,7 @@ func (e undoEntry) apply(s *Store) {
 		o := &Object{oid: e.oid, class: c, attrs: e.vals}
 		s.objects[e.oid] = o
 		s.classSet(e.class)[e.oid] = o
+		s.extChanged(e.class)
 	case undoMigrate:
 		o, ok := s.objects[e.oid]
 		if !ok {
@@ -138,6 +141,8 @@ func (e undoEntry) apply(s *Store) {
 			return
 		}
 		delete(s.classSet(o.class.Name()), e.oid)
+		s.extChanged(o.class.Name())
+		s.extChanged(e.class)
 		o.class = c
 		// Generalizing dropped these attributes; the superclass had no
 		// such attributes so nothing could have touched them since.
@@ -158,6 +163,14 @@ type Store struct {
 	schema  *schema.Schema
 	objects map[types.OID]*Object
 	byClass map[string]map[types.OID]*Object
+	// ext caches class extensions (see Extension): per class name, the
+	// ascending OIDs of its objects and its subclasses'. Entries are
+	// filled under s.mu.RLock, so extMu serializes concurrent fills;
+	// writers drop entries under s.mu.Lock, which excludes every filler.
+	// A cached slice is never mutated, only dropped, so a reader may keep
+	// one after releasing the lock.
+	extMu   sync.Mutex
+	ext     map[string][]types.OID
 	nextOID types.OID
 	undo    []undoEntry
 	// latches and nextLine serve the multi-line access path (BeginLine):
@@ -233,6 +246,7 @@ func (s *Store) createLocked(class string, vals map[string]types.Value, undo *[]
 	o := &Object{oid: oid, class: c, attrs: attrs}
 	s.objects[oid] = o
 	s.classSet(c.Name())[oid] = o
+	s.extChanged(c.Name())
 	*undo = append(*undo, undoEntry{kind: undoCreate, oid: oid, class: c.Name(), reuse: reuseOID})
 	return oid, nil
 }
@@ -266,6 +280,7 @@ func (s *Store) createAtLocked(oid types.OID, class string, vals map[string]type
 	o := &Object{oid: oid, class: c, attrs: attrs}
 	s.objects[oid] = o
 	s.classSet(c.Name())[oid] = o
+	s.extChanged(c.Name())
 	if oid > s.nextOID {
 		s.nextOID = oid
 	}
@@ -312,6 +327,7 @@ func (s *Store) deleteLocked(oid types.OID, undo *[]undoEntry) error {
 	}
 	delete(s.objects, oid)
 	delete(s.classSet(o.class.Name()), oid)
+	s.extChanged(o.class.Name())
 	// The deleted object's attrs map is unreachable from the store now,
 	// so the entry can keep it without copying.
 	*undo = append(*undo, undoEntry{kind: undoDelete, oid: oid, class: o.class.Name(), vals: o.attrs})
@@ -357,6 +373,8 @@ func (s *Store) migrateLocked(oid types.OID, to string, down bool, undo *[]undoE
 	}
 	oldClass := o.class
 	delete(s.classSet(oldClass.Name()), oid)
+	s.extChanged(oldClass.Name())
+	s.extChanged(target.Name())
 	var dropped map[string]types.Value
 	if !down {
 		// Generalizing drops attributes the superclass lacks. The undo
@@ -407,6 +425,7 @@ func (s *Store) Restore(oid types.OID, class string, vals map[string]types.Value
 	o := &Object{oid: oid, class: c, attrs: attrs}
 	s.objects[oid] = o
 	s.classSet(class)[oid] = o
+	s.extChanged(class)
 	if oid > s.nextOID {
 		s.nextOID = oid
 	}
@@ -445,22 +464,57 @@ func (s *Store) Get(oid types.OID) (*Object, bool) {
 
 // Select returns the OIDs of all live objects whose class is (or
 // specializes) the named class, in ascending OID order — Chimera's
-// set-oriented select. The caller may further filter with a predicate.
+// set-oriented select. The slice is the caller's to keep or modify.
 func (s *Store) Select(class string) ([]types.OID, error) {
+	ext, err := s.Extension(class)
+	return slices.Clone(ext), err
+}
+
+// Extension is Select without the copy: it returns the cached extension
+// of the class, which the caller must not modify. The cache entry is
+// built on first use after the extension last changed (a create,
+// delete, specialize or generalize in the class or a subclass, or the
+// undo of one), from the per-class object sets of the class and its
+// subclasses, not from a scan of the whole store.
+func (s *Store) Extension(class string) ([]types.OID, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	target, ok := s.schema.Class(class)
 	if !ok {
 		return nil, fmt.Errorf("object: unknown class %q", class)
 	}
-	var out []types.OID
-	for oid, o := range s.objects {
-		if o.class.IsA(target) {
-			out = append(out, oid)
+	s.extMu.Lock()
+	defer s.extMu.Unlock()
+	if ext, ok := s.ext[class]; ok {
+		return ext, nil
+	}
+	var ext []types.OID
+	for name, set := range s.byClass {
+		if c, ok := s.schema.Class(name); ok && c.IsA(target) {
+			for oid := range set {
+				ext = append(ext, oid)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	slices.Sort(ext)
+	if s.ext == nil {
+		s.ext = make(map[string][]types.OID)
+	}
+	s.ext[class] = ext
+	return ext, nil
+}
+
+// extChanged drops the cached extensions a membership change in the
+// named class affects: its own and every superclass's. The caller holds
+// s.mu exclusively.
+func (s *Store) extChanged(class string) {
+	if len(s.ext) == 0 {
+		return
+	}
+	c, _ := s.schema.Class(class)
+	for ; c != nil; c = c.Parent() {
+		delete(s.ext, c.Name())
+	}
 }
 
 func (s *Store) classSet(name string) map[types.OID]*Object {

@@ -1,6 +1,7 @@
 package object
 
 import (
+	"slices"
 	"testing"
 
 	"chimera/internal/schema"
@@ -193,6 +194,69 @@ func TestRollbackClassIndexes(t *testing.T) {
 			t.Errorf("Select(%s) after rollback = %v, want empty", class, got)
 		}
 	}
+}
+
+// scanExtension is the reference for the extension cache: a scan of
+// every live object, sorted.
+func scanExtension(st *Store, class string) []types.OID {
+	target, _ := st.schema.Class(class)
+	var out []types.OID
+	for oid, o := range st.objects {
+		if o.class.IsA(target) {
+			out = append(out, oid)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Every extension change — create, delete, specialize, generalize,
+// restore and the undo of each — drops the cache entries it affects, so
+// cached extensions always equal a full scan.
+func TestExtensionCacheInvalidation(t *testing.T) {
+	st := newStockStore(t)
+	classes := []string{"stock", "order", "notFilledOrder"}
+	check := func(step string) {
+		t.Helper()
+		for _, class := range classes {
+			got, err := st.Extension(class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := scanExtension(st, class); !slices.Equal(got, want) {
+				t.Fatalf("after %s: Extension(%s) = %v, want %v", step, class, got, want)
+			}
+		}
+	}
+	check("nothing")
+	s1, _ := st.Create("stock", nil)
+	o2, _ := st.Create("order", nil)
+	check("create")
+	mark := st.MarkUndo()
+	n3, _ := st.Create("notFilledOrder", nil)
+	check("subclass create")
+	if err := st.Specialize(o2, "notFilledOrder"); err != nil {
+		t.Fatal(err)
+	}
+	check("specialize")
+	if err := st.Generalize(n3, "order"); err != nil {
+		t.Fatal(err)
+	}
+	check("generalize")
+	if err := st.Delete(s1); err != nil {
+		t.Fatal(err)
+	}
+	check("delete")
+	st.RollbackTo(mark)
+	check("rollback")
+	if err := st.Restore(9, "notFilledOrder", nil); err != nil {
+		t.Fatal(err)
+	}
+	check("restore")
+	// Select hands out a copy; the cached slice is untouched.
+	sel, _ := st.Select("order")
+	sel[0] = 0
+	check("overwriting a Select result")
 }
 
 func TestObjectString(t *testing.T) {

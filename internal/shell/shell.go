@@ -244,18 +244,8 @@ func (s *Shell) data(t *chimera.Txn, cmd lang.Command) error {
 			// Filter through the condition machinery: seed one binding
 			// per object and run the predicate atoms.
 			ctx := &cond.Ctx{Store: s.db.Store(), Base: t.Base(), At: s.db.Clock().Now()}
-			var bindings []cond.Binding
-			for _, oid := range oids {
-				bindings = append(bindings, cond.Binding{c.Var: chimera.Ref(oid)})
-			}
-			for _, a := range c.Where {
-				if bindings, err = a.Eval(ctx, bindings); err != nil {
-					return err
-				}
-			}
-			oids = oids[:0]
-			for _, b := range bindings {
-				oids = append(oids, b[c.Var].AsOID())
+			if oids, err = filterWhere(ctx, c, oids); err != nil {
+				return err
 			}
 		}
 		for _, oid := range oids {
@@ -266,6 +256,27 @@ func (s *Shell) data(t *chimera.Txn, cmd lang.Command) error {
 		return nil
 	}
 	return fmt.Errorf("unhandled command %T", cmd)
+}
+
+// filterWhere runs a select's where atoms over one-variable bindings
+// seeded from oids, and returns the surviving objects in oids' storage.
+func filterWhere(ctx *cond.Ctx, c lang.CmdSelect, oids []chimera.OID) ([]chimera.OID, error) {
+	in, out := cond.NewTable(c.Var), new(cond.Table)
+	for _, oid := range oids {
+		in.Add(chimera.Ref(oid))
+	}
+	for _, a := range c.Where {
+		if err := a.Eval(ctx, in, out); err != nil {
+			return nil, err
+		}
+		in, out = out, in
+	}
+	oids = oids[:0]
+	for i := 0; i < in.Len(); i++ {
+		v, _ := in.Row(i).Lookup(c.Var)
+		oids = append(oids, v.AsOID())
+	}
+	return oids, nil
 }
 
 // readCmd runs one parsed command inside the open read-only
@@ -291,18 +302,8 @@ func (s *Shell) readCmd(cmd lang.Command) error {
 			// Where atoms are pure comparisons (no event atoms), so the
 			// snapshot alone — no Event Base — evaluates them.
 			ctx := &cond.Ctx{Store: s.rtxn.Snapshot(), At: s.db.Clock().Now()}
-			var bindings []cond.Binding
-			for _, oid := range oids {
-				bindings = append(bindings, cond.Binding{c.Var: chimera.Ref(oid)})
-			}
-			for _, a := range c.Where {
-				if bindings, err = a.Eval(ctx, bindings); err != nil {
-					return err
-				}
-			}
-			oids = oids[:0]
-			for _, b := range bindings {
-				oids = append(oids, b[c.Var].AsOID())
+			if oids, err = filterWhere(ctx, c, oids); err != nil {
+				return err
 			}
 		}
 		for _, oid := range oids {
