@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: build test race race-stress crash-smoke stream-smoke torture vet bench bench-smoke perfbench-smoke profile cover fuzz verify verify-full
+.PHONY: build loc test race race-stress crash-smoke stream-smoke torture vet bench bench-smoke perfbench-smoke profile cover fuzz verify verify-full
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Non-test Go line count outside perfbench/ (its own module): the
+# simplicity measure ROADMAP.md tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # The -race run covers the concurrent Trigger Support stress test
 # (TestSupportConcurrentAccess), the sharded/incremental differential
@@ -63,7 +68,7 @@ vet:
 # machine-readable B8 results, BENCH_eb.json the B9 Event Base soak,
 # BENCH_obs.json the B10 observability-overhead run, BENCH_cse.json
 # the B11 shared-trigger-plan sweep, BENCH_mt.json the B12
-# multi-session sweep, BENCH_col.json the B13 columnar-vs-row layout
+# multi-session sweep, BENCH_col.json the B13 columnar triggering-scan
 # sweep, BENCH_wal.json the B14 WAL ingest-overhead and
 # crash-recovery run, BENCH_stream.json the B15 streaming
 # throughput and flat-memory soak, and BENCH_ro.json the B16

@@ -11,7 +11,7 @@
 //	chimera-bench -metrics                 # B10 overhead run -> BENCH_obs.json
 //	chimera-bench -exp B11 -json BENCH_cse.json        # shared-plan sweep
 //	chimera-bench -exp B12 -json BENCH_mt.json         # multi-session sweep
-//	chimera-bench -exp B13 -json BENCH_col.json        # columnar-vs-row sweep
+//	chimera-bench -exp B13 -json BENCH_col.json        # columnar triggering-scan sweep
 //	chimera-bench -exp B14 -json BENCH_wal.json        # WAL ingest + recovery
 //	chimera-bench -exp B16 -json BENCH_ro.json         # snapshot reads + group commit
 //	chimera-bench -exp B11 -smoke -json smoke.json     # reduced CI sweep

@@ -3,7 +3,7 @@
 // run) cell by cell, benchstat-style. -exp selects the experiment
 // schema from a registry: B11 (default) compares shared-plan sweeps
 // keyed (rules, overlap, workers); B12 compares multi-session sweeps
-// keyed (lines, workload); B13 compares columnar-vs-row layout sweeps
+// keyed (lines, workload); B13 compares columnar triggering-scan sweeps
 // keyed (rules); B14 compares the durable-WAL ingest and recovery runs
 // keyed (section, config); B16 compares snapshot-read scaling and
 // group-commit sync sharing keyed (section, readers, writers).
@@ -226,10 +226,9 @@ var experiments = []experiment{
 	},
 	{
 		id:    "B13",
-		about: "columnar Event Base vs row store, keyed (rules)",
+		about: "columnar Event Base triggering scan, keyed (rules)",
 		metrics: []metricDef{
 			{name: "columnar_ms", unit: "ms"},
-			{name: "speedup", unit: "x", higherIsBetter: true},
 			{name: "col_alloc_kb", unit: "KB"},
 		},
 		load: func(path string) ([]cell, error) {
@@ -241,7 +240,7 @@ var experiments = []experiment{
 			for i, r := range rs {
 				cells[i] = cell{
 					key:    fmt.Sprintf("rules=%d", r.Rules),
-					vals:   []float64{r.ColMs, r.Speedup, float64(r.ColAllocKB)},
+					vals:   []float64{r.ColMs, float64(r.ColAllocKB)},
 					parity: boolPtr(r.SameOutcomes),
 				}
 			}

@@ -14,38 +14,34 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// B13 — columnar Event Base vs row-store ablation: raw single-thread
+// B13 — the columnar Event Base's triggering scan: raw single-thread
 // triggering throughput and allocation volume of the ts hot loop.
 //
-// Both sides run the strongest single-thread support (V(E) filter +
-// incremental sweep + shared plan, Workers=1) on the identical
-// workload; the only difference is the Event Base layout — columnar
+// The timed side runs the strongest single-thread support (V(E) filter
+// + incremental sweep + shared plan, Workers=1) over the columnar
 // segments (parallel timestamp/type-id/OID-id arrays probed directly by
-// the batched scan) vs the classic row store (the []Occurrence segments
-// every earlier experiment used). The workload is the adversarial
-// A + -B shape of B6/B7/B8: non-monotone rules the ∃t' probe must walk
-// arrival for arrival, so the scan itself — not rule management — is
-// what the cell times.
+// the batched scan). The workload is the adversarial A + -B shape of
+// B6/B7/B8: non-monotone rules the ∃t' probe must walk arrival for
+// arrival, so the scan itself — not rule management — is what the cell
+// times. The recursive reference support (filter, sweep and plan off)
+// replays the identical stream once, untimed, and must report the same
+// triggerings.
 
 // B13Result carries one rule-count cell; the JSON tags feed the
 // machine-readable BENCH_col.json emitted by chimera-bench -exp B13
 // -json.
 type B13Result struct {
-	Rules int `json:"rules"`
-	// RowMs/ColMs time the identical drive loop on the row store and the
-	// columnar layout; Speedup is their ratio (columnar wins above 1).
-	RowMs   float64 `json:"row_ms"`
-	ColMs   float64 `json:"columnar_ms"`
-	Speedup float64 `json:"speedup"`
-	// Allocation volume of one full drive (heap bytes allocated, not
-	// retained), averaged over the counted reps.
-	RowAllocKB int64 `json:"row_alloc_kb"`
+	Rules int     `json:"rules"`
+	ColMs float64 `json:"columnar_ms"`
+	// ColAllocKB is the allocation volume of one full drive (heap bytes
+	// allocated, not retained), averaged over the counted reps.
 	ColAllocKB int64 `json:"columnar_alloc_kb"`
-	// TrigPerSec is the columnar side's triggering throughput — the
-	// acceptance metric.
-	TrigPerSec   float64 `json:"triggerings_per_sec"`
-	Triggerings  int64   `json:"triggerings"`
-	SameOutcomes bool    `json:"same_triggerings"`
+	// TrigPerSec is the triggering throughput — the acceptance metric.
+	TrigPerSec  float64 `json:"triggerings_per_sec"`
+	Triggerings int64   `json:"triggerings"`
+	// SameOutcomes reports whether the recursive reference support
+	// counted the same triggerings on the same stream.
+	SameOutcomes bool `json:"same_triggerings"`
 }
 
 // RunB13 measures one rule-count cell. The geometry mirrors B8
@@ -72,54 +68,56 @@ func RunB13(nRules, blocks, eventsPerBlock int) B13Result {
 	if reps > 30 {
 		reps = 30
 	}
-	opts := rules.Options{UseFilter: true, Incremental: true, SharedPlan: true, Workers: 1}
-	run := func(mkBase func() *event.Base) (workload.RunResult, int64, int64) {
-		var res workload.RunResult
-		var totalNs, totalAlloc int64
+	// drive runs one full drive under opts and returns its result (the
+	// support's cumulative counters) with the measured part's wall time
+	// and allocated bytes.
+	drive := func(opts rules.Options) (workload.RunResult, int64, int64) {
 		var m0, m1 runtime.MemStats
-		for i := 0; i <= reps; i++ {
-			c := clock.New()
-			b := mkBase()
-			s := rules.NewSupport(b, opts)
-			s.BeginTransaction(c.Now())
-			for _, d := range defs {
-				if err := s.Define(d); err != nil {
-					panic(err)
-				}
-			}
-			// A short untimed drive first, so the measured one prices the
-			// steady-state scan: one-time side structures (type interners,
-			// mention bitsets, arena slabs, plan memo tables) warm up here.
-			warm := workload.Stream(rand.New(rand.NewSource(43)), c, b, workload.StreamOptions{
-				Blocks: 5, EventsPerBlock: eventsPerBlock, Objects: 16, Vocab: vocab,
-			})
-			workload.Drive(s, c, warm, true)
-			stream := workload.Stream(rand.New(rand.NewSource(42)), c, b, workload.StreamOptions{
-				Blocks: blocks, EventsPerBlock: eventsPerBlock, Objects: 16, Vocab: vocab,
-			})
-			runtime.ReadMemStats(&m0)
-			start := time.Now()
-			res = workload.Drive(s, c, stream, true)
-			if i > 0 {
-				totalNs += time.Since(start).Nanoseconds()
-				runtime.ReadMemStats(&m1)
-				totalAlloc += int64(m1.TotalAlloc - m0.TotalAlloc)
+		c := clock.New()
+		b := event.NewBase()
+		s := rules.NewSupport(b, opts)
+		s.BeginTransaction(c.Now())
+		for _, d := range defs {
+			if err := s.Define(d); err != nil {
+				panic(err)
 			}
 		}
-		return res, totalNs / int64(reps), totalAlloc / int64(reps)
+		// A short untimed drive first, so the measured one prices the
+		// steady-state scan: one-time side structures (type interners,
+		// mention bitsets, arena slabs, plan memo tables) warm up here.
+		warm := workload.Stream(rand.New(rand.NewSource(43)), c, b, workload.StreamOptions{
+			Blocks: 5, EventsPerBlock: eventsPerBlock, Objects: 16, Vocab: vocab,
+		})
+		workload.Drive(s, c, warm, true)
+		stream := workload.Stream(rand.New(rand.NewSource(42)), c, b, workload.StreamOptions{
+			Blocks: blocks, EventsPerBlock: eventsPerBlock, Objects: 16, Vocab: vocab,
+		})
+		runtime.ReadMemStats(&m0)
+		start := time.Now()
+		res := workload.Drive(s, c, stream, true)
+		ns := time.Since(start).Nanoseconds()
+		runtime.ReadMemStats(&m1)
+		return res, ns, int64(m1.TotalAlloc - m0.TotalAlloc)
 	}
-	row, rowNs, rowAlloc := run(func() *event.Base { return event.NewRowBase(event.DefaultSegmentSize) })
-	col, colNs, colAlloc := run(event.NewBase)
+	var col workload.RunResult
+	var totalNs, totalAlloc int64
+	for i := 0; i <= reps; i++ {
+		res, ns, alloc := drive(rules.Options{UseFilter: true, Incremental: true, SharedPlan: true, Workers: 1})
+		col = res
+		if i > 0 {
+			totalNs += ns
+			totalAlloc += alloc
+		}
+	}
+	colNs := totalNs / int64(reps)
+	ref, _, _ := drive(rules.Options{Workers: 1})
 	return B13Result{
-		Rules:      nRules,
-		RowMs:      float64(rowNs) / 1e6,
-		ColMs:      float64(colNs) / 1e6,
-		Speedup:    float64(rowNs) / float64(colNs),
-		RowAllocKB: rowAlloc / 1024,
-		ColAllocKB: colAlloc / 1024,
-		TrigPerSec: float64(col.Triggerings) / (float64(colNs) / 1e9),
+		Rules:        nRules,
+		ColMs:        float64(colNs) / 1e6,
+		ColAllocKB:   totalAlloc / int64(reps) / 1024,
+		TrigPerSec:   float64(col.Triggerings) / (float64(colNs) / 1e9),
 		Triggerings:  col.Triggerings,
-		SameOutcomes: row.Triggerings == col.Triggerings,
+		SameOutcomes: ref.Triggerings == col.Triggerings,
 	}
 }
 
@@ -145,26 +143,24 @@ func B13SmokeResults() []B13Result {
 func B13FromResults(rs []B13Result) Table {
 	t := Table{
 		ID:     "B13",
-		Title:  "columnar Event Base vs row store: single-thread triggering scan",
-		Header: []string{"rules", "row ms", "columnar ms", "speedup", "row alloc KB", "col alloc KB", "trig/s", "same triggerings"},
+		Title:  "columnar Event Base: single-thread triggering scan",
+		Header: []string{"rules", "columnar ms", "col alloc KB", "trig/s", "same triggerings"},
 	}
 	for _, r := range rs {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(r.Rules),
-			fmt.Sprintf("%.2f", r.RowMs), fmt.Sprintf("%.2f", r.ColMs),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprint(r.RowAllocKB), fmt.Sprint(r.ColAllocKB),
+			fmt.Sprintf("%.2f", r.ColMs),
+			fmt.Sprint(r.ColAllocKB),
 			fmt.Sprintf("%.0f", r.TrigPerSec),
 			fmt.Sprint(r.SameOutcomes),
 		})
 	}
 	t.Notes = append(t.Notes,
-		"both sides run V(E) filter + incremental sweep + shared plan at Workers=1 on the B8 workload; only the Event Base layout differs (engine.Options.ColumnarEB cleared is the row side)",
-		"the columnar side scans parallel timestamp/type-id columns with interned-type bitset mention tests and branch-free min/max sign selection; the row side materializes Occurrence values and hashes type names per (arrival × rule)",
-		"'alloc KB' is heap bytes allocated (not retained) by the measured drive, after an untimed warm-up drive has built the one-time side structures (interners, mention bitsets, arena slabs, memo tables) — what remains is consideration re-arms and segment seals; the quiet boundary check itself is allocation-free on both layouts (zero-alloc assertions in internal/rules)",
-		"'same triggerings' pins the layouts to identical semantics on this workload (the differential suites prove it exhaustively)")
+		"V(E) filter + incremental sweep + shared plan at Workers=1 on the B8 workload, scanning parallel timestamp/type-id columns with interned-type bitset mention tests",
+		"'alloc KB' is heap bytes allocated (not retained) by the measured drive, after an untimed warm-up drive has built the one-time side structures (interners, mention bitsets, arena slabs, memo tables) — what remains is consideration re-arms and segment seals; the quiet boundary check itself is allocation-free (zero-alloc assertions in internal/rules)",
+		"'same triggerings' replays the identical stream once, untimed, through the recursive reference support (filter, sweep and plan off) and compares the two supports' triggering counts")
 	return t
 }
 
-// B13 runs and renders the layout comparison.
+// B13 runs and renders the triggering-scan experiment.
 func B13() Table { return B13FromResults(B13Results()) }

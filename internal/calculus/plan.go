@@ -318,7 +318,7 @@ type PlanEval struct {
 
 	// Prim cursors (Track mode): the last arrival of each interned
 	// primitive node inside the bound window, maintained incrementally
-	// from NoteArrival instead of re-queried with a LastOf search per
+	// from NoteArrivalTID instead of re-queried with a LastOf search per
 	// probe instant. One cursor per prim node serves every rule sharing
 	// it. Entries are stamped with bindGen so Bind invalidates them all.
 	tracking  bool
@@ -327,13 +327,12 @@ type PlanEval struct {
 	primEpoch []uint64
 
 	// tid2prim dispatches an interned-type id (event.Base's per-Base type
-	// interner) straight to the prim node of that type — the columnar
-	// batched probe path reports arrivals by int32 id (NoteArrivalTID), an
-	// array index instead of NoteArrival's nodeKey map hash. Bind rebuilds
-	// it whenever the bound base or the plan's structure changed; the
-	// rebuild interns every live prim type, so a tid at or past the
-	// table's length was interned later by a non-prim arrival and is
-	// correctly ignored.
+	// interner) straight to the prim node of that type — the batched
+	// probe path reports arrivals by int32 id (NoteArrivalTID), an array
+	// index instead of a nodeKey map hash. Bind rebuilds it whenever the
+	// bound base or the plan's structure changed; the rebuild interns
+	// every live prim type, so a tid at or past the table's length was
+	// interned later by a non-prim arrival and is correctly ignored.
 	tid2prim []NodeID
 	tidBase  *event.Base
 	planVer  uint64
@@ -363,16 +362,16 @@ func NewPlanEval(p *Plan) *PlanEval {
 }
 
 // Bind points the evaluator at an Event Base window (Since exclusive)
-// and invalidates every memoized value, prim cursors included. On a
-// columnar base it also refreshes the interned-type-id dispatch table
-// backing NoteArrivalTID.
+// and invalidates every memoized value, prim cursors included. It also
+// refreshes the interned-type-id dispatch table backing NoteArrivalTID
+// when the base or the plan's structure changed.
 func (pe *PlanEval) Bind(base *event.Base, since clock.Time) {
 	pe.base = base
 	pe.since = since
 	pe.gen++
 	pe.bindGen++
 	pe.cur = clock.Never
-	if base.Columnar() && (pe.tidBase != base || pe.planVer != pe.plan.version) {
+	if pe.tidBase != base || pe.planVer != pe.plan.version {
 		pe.rebuildTIDs(base)
 	}
 }
@@ -401,10 +400,11 @@ func (pe *PlanEval) rebuildTIDs(base *event.Base) {
 	pe.planVer = pe.plan.version
 }
 
-// NoteArrivalTID is NoteArrival dispatched by interned-type id: the
-// columnar probe loop reports each scanned arrival with one array index
-// instead of a nodeKey map hash. Valid only after a Bind to the columnar
-// base whose interner produced the tid.
+// NoteArrivalTID reports one arrival, by interned-type id, to the prim
+// cursors: one array index per scanned arrival. Cursors not yet
+// initialized in this Bind stay lazy: their first evaluation runs one
+// LastOf catch-up query that includes this arrival. Valid only after a
+// Bind to the base whose interner produced the tid.
 func (pe *PlanEval) NoteArrivalTID(tid int32, at clock.Time) {
 	if !pe.tracking || int(tid) >= len(pe.tid2prim) {
 		return
@@ -418,30 +418,13 @@ func (pe *PlanEval) NoteArrivalTID(tid int32, at clock.Time) {
 // stricter driving contract in exchange for O(1) prim lookups at the
 // memo instant: Begin instants within one Bind must be non-decreasing,
 // and every arrival in the window up to the current instant must be
-// reported through NoteArrival in timestamp order before that instant
+// reported through NoteArrivalTID in timestamp order before that instant
 // is probed. The grouped CheckTriggered walk satisfies this by
 // construction; ad-hoc callers should leave tracking off.
 func (pe *PlanEval) Track(on bool) {
 	pe.tracking = on
 	if on {
 		pe.growPrim()
-	}
-}
-
-// NoteArrival reports one arrival to the prim cursors. Cursors not yet
-// initialized in this Bind stay lazy: their first evaluation runs one
-// LastOf catch-up query that includes this arrival.
-func (pe *PlanEval) NoteArrival(t event.Type, at clock.Time) {
-	if !pe.tracking {
-		return
-	}
-	id, ok := pe.plan.ids[nodeKey{op: planPrim, t: t, l: NoNode, r: NoNode}]
-	if !ok {
-		return
-	}
-	pe.growPrim()
-	if pe.primEpoch[id] == pe.bindGen {
-		pe.primLast[id] = at
 	}
 }
 

@@ -122,11 +122,11 @@ func TestPlanEvalMatchesEnv(t *testing.T) {
 }
 
 // TestPlanEvalTrackingMatchesEnv pins the prim-cursor fast path (Track +
-// NoteArrival) to the reference evaluator under the grouped walk's
-// driving contract: arrivals reported in timestamp order, ascending
-// probe instants, and instants skipped without probing — the cursor's
-// lazy catch-up query — mixed with instants probed right after their
-// arrival is noted.
+// NoteArrivalTID, fed from a ChunkCols walk) to the reference evaluator
+// under the grouped walk's driving contract: arrivals reported in
+// timestamp order, ascending probe instants, and instants skipped
+// without probing — the cursor's lazy catch-up query — mixed with
+// instants probed right after their arrival is noted.
 func TestPlanEvalTrackingMatchesEnv(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	vocab := DefaultVocabulary()
@@ -150,20 +150,27 @@ func TestPlanEvalTrackingMatchesEnv(t *testing.T) {
 			pe := NewPlanEval(plan)
 			pe.Track(true)
 			pe.Bind(base, since)
-			occs := base.AppendWindow(nil, since, now)
-			for j, o := range occs {
-				pe.NoteArrival(o.Type, o.Timestamp)
-				if j%2 == 1 {
-					continue // noted but never probed: later probes must still see it
+			j := 0
+			for cursor := since; ; {
+				cols := base.ChunkCols(cursor, now)
+				if len(cols.TS) == 0 {
+					break
 				}
-				at := o.Timestamp
-				pe.Begin(at)
-				for i, e := range exprs {
-					if got, want := pe.TS(roots[i], at), env.TS(e, at); got != want {
-						t.Fatalf("trial %d since=%d: tracked ts(%s, %d) = %d, want %d",
-							trial, since, e, at, got, want)
+				for k, at := range cols.TS {
+					pe.NoteArrivalTID(cols.TIDs[k], at)
+					j++
+					if j%2 == 0 {
+						continue // noted but never probed: later probes must still see it
+					}
+					pe.Begin(at)
+					for i, e := range exprs {
+						if got, want := pe.TS(roots[i], at), env.TS(e, at); got != want {
+							t.Fatalf("trial %d since=%d: tracked ts(%s, %d) = %d, want %d",
+								trial, since, e, at, got, want)
+						}
 					}
 				}
+				cursor = cols.TS[len(cols.TS)-1]
 			}
 			pe.Begin(now)
 			for i, e := range exprs {

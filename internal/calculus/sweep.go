@@ -245,14 +245,10 @@ func (sw *Sweeper) advance(env *Env, now clock.Time) SweepResult {
 	// the Event Base, so the sweep stays allocation-free across segment
 	// boundaries, and because sw.probed never trails the rule's window
 	// start (which in turn never trails the compaction watermark) the
-	// walk is never rebased onto retired data. On a columnar base the
-	// walk touches only the timestamp and interned-type-id columns.
-	if env.Base.Columnar() {
-		sw.ensureTIDs(env.Base)
-		if sw.sweepCols(env, now, &res) {
-			return res
-		}
-	} else if sw.sweepRows(env, now, &res) {
+	// walk is never rebased onto retired data. The walk touches only the
+	// timestamp and interned-type-id columns.
+	sw.ensureTIDs(env.Base)
+	if sw.sweepCols(env, now, &res) {
 		return res
 	}
 	sw.probed = now
@@ -270,56 +266,10 @@ func (sw *Sweeper) advance(env *Env, now clock.Time) SweepResult {
 	return res
 }
 
-// sweepRows is the row-store chunk walk: Occurrence views, cursors
-// matched by Type struct compare. Returns true when the sweep fired.
-func (sw *Sweeper) sweepRows(env *Env, now clock.Time, res *SweepResult) bool {
-	for {
-		win := env.Base.ChunkView(sw.probed, now)
-		if len(win) == 0 {
-			return false
-		}
-		for i := range win {
-			occ := &win[i]
-			sw.seen++
-			// Advance the primitive cursors; a hit means the type is
-			// mentioned and the signs must be recomputed.
-			mentioned := false
-			for _, pn := range sw.prims {
-				if pn.t == occ.Type {
-					pn.last = occ.Timestamp
-					mentioned = true
-				}
-			}
-			if !mentioned {
-				for _, t := range sw.liftTypes {
-					if t == occ.Type {
-						mentioned = true
-						break
-					}
-				}
-			}
-			if sw.sensitive || mentioned {
-				sw.evalAll(env, occ.Timestamp, false)
-				res.Evals++
-			} else {
-				// Sign unchanged: no mentioned arrival, no full-domain lift.
-				res.Skipped++
-			}
-			if sw.active {
-				// sw.seen > 0 by construction: R is non-empty here.
-				sw.probed = occ.Timestamp
-				res.Fired, res.At = true, occ.Timestamp
-				return true
-			}
-		}
-		sw.probed = win[len(win)-1].Timestamp
-	}
-}
-
-// sweepCols is the columnar chunk walk, semantically identical to
-// sweepRows: the mention scan loads the 8-byte timestamp and 4-byte
-// interned-id columns only and matches cursors with int32 compares — no
-// Occurrence materialization, no string comparison.
+// sweepCols is the chunk walk: the mention scan loads the 8-byte
+// timestamp and 4-byte interned-id columns only and matches cursors with
+// int32 compares — no Occurrence materialization, no string comparison.
+// Returns true when the sweep fired.
 func (sw *Sweeper) sweepCols(env *Env, now clock.Time, res *SweepResult) bool {
 	for {
 		cols := env.Base.ChunkCols(sw.probed, now)
@@ -350,9 +300,11 @@ func (sw *Sweeper) sweepCols(env *Env, now clock.Time, res *SweepResult) bool {
 				sw.evalAll(env, at, false)
 				res.Evals++
 			} else {
+				// Sign unchanged: no mentioned arrival, no full-domain lift.
 				res.Skipped++
 			}
 			if sw.active {
+				// sw.seen > 0 by construction: R is non-empty here.
 				sw.probed = at
 				res.Fired, res.At = true, at
 				return true
@@ -366,7 +318,7 @@ func (sw *Sweeper) sweepCols(env *Env, now clock.Time, res *SweepResult) bool {
 // ids, once per base (rebinding a rule discards its sweepers, so one
 // sweeper only ever meets one base; the check still keys on identity).
 // Interning is eager — a prim type that has not occurred yet gets its id
-// now — so the columnar walk needs no existence checks.
+// now — so the walk needs no existence checks.
 func (sw *Sweeper) ensureTIDs(base *event.Base) {
 	if sw.tidBase == base {
 		return

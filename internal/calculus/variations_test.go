@@ -147,10 +147,18 @@ func TestFilterRelevance(t *testing.T) {
 	if f.Relevant(B) {
 		t.Error("arrival of B is a pure Δ− variation; not relevant for triggering")
 	}
-	if !f.Mentioned(B) {
+	mentioned := func(ty event.Type) bool {
+		for _, m := range f.MentionedTypes() {
+			if m == ty {
+				return true
+			}
+		}
+		return false
+	}
+	if !mentioned(B) {
 		t.Error("B is mentioned in V(E)")
 	}
-	if f.Relevant(C) || f.Mentioned(C) {
+	if f.Relevant(C) || mentioned(C) {
 		t.Error("C is foreign to the expression")
 	}
 

@@ -16,54 +16,59 @@ import (
 	"chimera/internal/types"
 )
 
-// Layout differential at the engine level: ColumnarEB on and off must
+// Event Base differentials at the engine level: the production
+// configuration at the default segment size and at tiny segments must
 // produce byte-identical databases and identical rule-execution counts
-// on identical workloads — the columnar Event Base may only change how
-// the triggering scan reads arrivals, never what the rules do.
+// to the naive reference support (recursive probe, no filter, sweep or
+// plan) on an uncompacted base — segmentation, compaction and the
+// columnar scan may only change how the triggering scan reads arrivals,
+// never what the rules do.
 
-func TestDifferentialColumnarVsRowStore(t *testing.T) {
+func TestDifferentialSegmentedVsReference(t *testing.T) {
 	prod := rules.Options{UseFilter: true, Incremental: true, SharedPlan: true, Workers: 4}
 	for trial := 0; trial < 15; trial++ {
 		seed := int64(7000 + trial)
 		ops := genWorkload(rand.New(rand.NewSource(seed)), 60)
 
-		row := buildDiffDB(t, Options{Support: prod, ColumnarEB: false}, seed)
-		runDiffWorkload(t, row, ops)
+		ref := buildDiffDB(t, Options{Support: rules.Options{}, DisableCompaction: true}, seed)
+		runDiffWorkload(t, ref, ops)
 
-		col := buildDiffDB(t, Options{Support: prod, ColumnarEB: true}, seed)
+		col := buildDiffDB(t, Options{Support: prod}, seed)
 		runDiffWorkload(t, col, ops)
 
 		// Tiny segments force the columnar scan across seals + compaction.
-		small := buildDiffDB(t, Options{Support: prod, ColumnarEB: true, SegmentSize: 4}, seed)
+		small := buildDiffDB(t, Options{Support: prod, SegmentSize: 4}, seed)
 		runDiffWorkload(t, small, ops)
 
-		fpRow, fpCol, fpSmall := fingerprint(row), fingerprint(col), fingerprint(small)
-		if fpRow != fpCol {
-			t.Fatalf("trial %d: row-store and columnar databases diverged:\n--- row\n%s--- columnar\n%s",
-				trial, fpRow, fpCol)
+		fpRef, fpCol, fpSmall := fingerprint(ref), fingerprint(col), fingerprint(small)
+		if fpRef != fpCol {
+			t.Fatalf("trial %d: production database diverged from the reference:\n--- reference\n%s--- production\n%s",
+				trial, fpRef, fpCol)
 		}
-		if fpRow != fpSmall {
-			t.Fatalf("trial %d: small-segment columnar database diverged", trial)
+		if fpRef != fpSmall {
+			t.Fatalf("trial %d: small-segment database diverged from the reference", trial)
 		}
-		if row.Stats().RuleExecutions != col.Stats().RuleExecutions {
-			t.Fatalf("trial %d: rule executions diverged: row %d vs columnar %d",
-				trial, row.Stats().RuleExecutions, col.Stats().RuleExecutions)
+		for _, db := range []*DB{col, small} {
+			if got, want := db.Stats().RuleExecutions, ref.Stats().RuleExecutions; got != want {
+				t.Fatalf("trial %d: rule executions diverged: reference %d vs %d", trial, want, got)
+			}
 		}
 	}
 }
 
-// TestMultiSessionColumnarMatchesRowStore drives concurrent transaction
-// lines (each line has its own columnar Event Base and Trigger Support
-// session) under both layouts: every line's rule work must land
-// identically. This is the multi-session leg of the layout differential.
-func TestMultiSessionColumnarMatchesRowStore(t *testing.T) {
-	run := func(columnar bool) [][]int64 {
+// TestMultiSessionSegmentedMatchesReference drives concurrent
+// transaction lines (each line has its own Event Base and Trigger
+// Support session) under the production options at the default segment
+// size, at tiny segments, and under the naive reference support: every
+// line's rule work must land identically. This is the multi-session leg
+// of the Event Base differential.
+func TestMultiSessionSegmentedMatchesReference(t *testing.T) {
+	run := func(mut func(*Options)) [][]int64 {
 		const lines, perLine = 4, 8
 		opts := DefaultOptions()
-		opts.ColumnarEB = columnar
 		opts.MaxSessions = lines
 		opts.LockWait = 5 * time.Second
-		opts.SegmentSize = 4 // seal + compact within each line
+		mut(&opts)
 		db := multiStockDB(t, opts, lines)
 
 		var wg sync.WaitGroup
@@ -89,7 +94,7 @@ func TestMultiSessionColumnarMatchesRowStore(t *testing.T) {
 		wg.Wait()
 
 		// Per-class quantities, sorted by the store's Select order, plus
-		// the global stats: the layouts must agree on all of it.
+		// the global stats: the configurations must agree on all of it.
 		out := make([][]int64, 0, lines+1)
 		for i := 0; i < lines; i++ {
 			oids, _ := db.Store().Select(fmt.Sprintf("stock%d", i))
@@ -108,15 +113,23 @@ func TestMultiSessionColumnarMatchesRowStore(t *testing.T) {
 		return out
 	}
 
-	row := run(false)
-	col := run(true)
-	for i := range row {
-		if len(row[i]) != len(col[i]) {
-			t.Fatalf("part %d: lengths differ: row %v vs columnar %v", i, row[i], col[i])
-		}
-		for j := range row[i] {
-			if row[i][j] != col[i][j] {
-				t.Errorf("part %d[%d]: row %d, columnar %d", i, j, row[i][j], col[i][j])
+	ref := run(func(o *Options) { o.Support = rules.Options{} })
+	for _, cfg := range []struct {
+		name string
+		mut  func(*Options)
+	}{
+		{"default segments", func(*Options) {}},
+		{"4-entry segments", func(o *Options) { o.SegmentSize = 4 }}, // seal + compact within each line
+	} {
+		got := run(cfg.mut)
+		for i := range ref {
+			if len(ref[i]) != len(got[i]) {
+				t.Fatalf("%s part %d: lengths differ: reference %v vs %v", cfg.name, i, ref[i], got[i])
+			}
+			for j := range ref[i] {
+				if ref[i][j] != got[i][j] {
+					t.Errorf("%s part %d[%d]: reference %d, got %d", cfg.name, i, j, ref[i][j], got[i][j])
+				}
 			}
 		}
 	}

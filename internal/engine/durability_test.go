@@ -744,3 +744,53 @@ func TestDDLReplay(t *testing.T) {
 	rdb.Close()
 	db.Close()
 }
+
+// TestZeroValueOptionsDurable pins that durability needs nothing from
+// DefaultOptions: a literal Options carrying only a store opens, commits
+// through the rules, checkpoints its Event Base, and recovers to the
+// identical state.
+func TestZeroValueOptionsDurable(t *testing.T) {
+	store := storage.NewMemStore()
+	opts := func(s engine.SegmentStore) engine.Options {
+		return engine.Options{Durability: engine.DurabilityOptions{Store: s}}
+	}
+	db, err := engine.Open(opts(store))
+	if err != nil {
+		t.Fatalf("Open(zero-value options + store): %v", err)
+	}
+	defer db.Close()
+	defineDurCatalog(t, db)
+	create := func(n int64) {
+		t.Helper()
+		err := db.Run(func(tx *engine.Txn) error {
+			_, err := tx.Create("item", map[string]types.Value{"n": types.Int(n), "cap": types.Int(10)})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	create(5)
+	create(50) // over capacity: the immediate clamp rule fires
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	create(70)
+	if err := db.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	items, _ := db.Store().Select("item")
+	for _, oid := range items {
+		if o, _ := db.Store().Get(oid); o.MustGet("n").AsInt() > 10 {
+			t.Fatalf("clamp rule did not fire: %s", o)
+		}
+	}
+	rdb, rtx, _, err := engine.Recover(opts(store.Clone()))
+	if err != nil {
+		t.Fatalf("Recover(zero-value options + store): %v", err)
+	}
+	defer rdb.Close()
+	if want, got := durFingerprint(db, nil), durFingerprint(rdb, rtx); want != got {
+		t.Fatalf("recovered state diverged:\n--- live\n%s--- recovered\n%s", want, got)
+	}
+}

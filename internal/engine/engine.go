@@ -120,14 +120,6 @@ type Options struct {
 	// segment boundaries and compaction in tests; production
 	// configurations should leave the default.
 	SegmentSize int
-	// ColumnarEB selects the columnar Event Base layout: segments store
-	// parallel timestamp/type-id/OID-id columns and the triggering hot
-	// loops scan them directly (see event.NewBaseSize). Semantically
-	// transparent — the differential suites pin it to the row store bit
-	// for bit. Mirrors the SharedPlan convention: on by default via
-	// DefaultOptions, cleared to opt out (the row-store ablation of
-	// experiment B13).
-	ColumnarEB bool
 	// Metrics, when non-nil, is the registry the engine and every layer
 	// under it (Event Base, Trigger Support, incremental sweep) report
 	// into; read it back with DB.Snapshot. nil (the default) disables
@@ -154,20 +146,19 @@ type Options struct {
 	// Event Base segments and the committed object/schema/rule state are
 	// persisted by checkpoints, and engine.Recover rebuilds a
 	// bit-identical engine after a crash (DESIGN.md §13). Durable
-	// databases are constructed with Open, not New, and require the
-	// columnar Event Base. They run with any MaxSessions: concurrent
-	// lines stage their runs and share the group committer's fsyncs
-	// (DESIGN.md §16). Only automatic checkpoints (CheckpointEvery)
-	// require single-session mode; a multi-session database checkpoints
-	// explicitly, with DB.Checkpoint at idle.
+	// databases are constructed with Open, not New. They run with any
+	// MaxSessions: concurrent lines stage their runs and share the group
+	// committer's fsyncs (DESIGN.md §16). Only automatic checkpoints
+	// (CheckpointEvery) require single-session mode; a multi-session
+	// database checkpoints explicitly, with DB.Checkpoint at idle.
 	Durability DurabilityOptions
 }
 
 // Validate checks the options for constructor use. Negative limits are
 // rejected rather than silently clamped, and durability's structural
-// requirements (the columnar Event Base, and single-session mode for
-// automatic checkpoints) are enforced up front — a misconfiguration
-// must fail at Open, not at the first checkpoint.
+// requirement (single-session mode for automatic checkpoints) is
+// enforced up front — a misconfiguration must fail at Open, not at the
+// first checkpoint.
 func (o Options) Validate() error {
 	if o.SegmentSize < 0 {
 		return fmt.Errorf("engine: negative SegmentSize %d", o.SegmentSize)
@@ -191,9 +182,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("engine: negative MaxSegments %d", o.MaxSegments)
 	}
 	if o.Durability.enabled() {
-		if !o.ColumnarEB {
-			return errors.New("engine: durability requires the columnar Event Base (segment export)")
-		}
 		if o.MaxSessions > 1 && o.Durability.CheckpointEvery > 0 {
 			// A multi-session checkpoint must capture only committed state,
 			// but the live store holds other lines' uncommitted latched
@@ -214,9 +202,9 @@ func (o Options) Validate() error {
 
 // DefaultOptions enables the paper's static optimization and the formal
 // triggering semantics, plus the incremental ∃t' sweep, the
-// GOMAXPROCS-sharded triggering determination, the shared trigger plan
-// with memoized evaluation, and the columnar Event Base (all
-// semantically transparent; see DESIGN.md §7, §10 and §12).
+// GOMAXPROCS-sharded triggering determination and the shared trigger
+// plan with memoized evaluation (all semantically transparent; see
+// DESIGN.md §7 and §10).
 func DefaultOptions() Options {
 	return Options{
 		Support: rules.Options{
@@ -225,7 +213,6 @@ func DefaultOptions() Options {
 			SharedPlan:  true,
 			Workers:     rules.DefaultWorkers(),
 		},
-		ColumnarEB: true,
 	}
 }
 
@@ -626,12 +613,7 @@ func (t *Txn) stageRec(rec []byte) {
 // above that, up to MaxSessions lines run concurrently. Either limit
 // reports ErrTxnOpen.
 func (db *DB) Begin() (*Txn, error) {
-	var base *event.Base
-	if db.opts.ColumnarEB {
-		base = event.NewBaseSize(db.opts.SegmentSize)
-	} else {
-		base = event.NewRowBase(db.opts.SegmentSize)
-	}
+	base := event.NewBaseSize(db.opts.SegmentSize)
 	base.SetMetrics(db.baseMetrics)
 	base.SetLimits(db.opts.MaxEvents, db.opts.MaxSegments)
 	t := &Txn{db: db, base: base, multi: db.multiSession()}

@@ -102,17 +102,14 @@ const DefaultSegmentSize = 256
 //
 // # Columnar layout
 //
-// The default layout stores each segment as parallel columns — the
-// timestamp column, an interned-type-id column and an interned-OID
-// column — instead of an array of Occurrence rows. The probe loops of
-// the Trigger Support walk windows through ChunkCols, touching only the
-// 8-byte timestamp and 4-byte type-id columns (cache-dense, no string
-// fields), and compare interned int32 ids instead of Type structs;
-// Occurrence rows are materialized only at API edges (Window, All,
-// OccurrencesOf, the aliasing views). NewRowBase selects the historical
-// row-store layout, kept as the measured ablation (experiment B13) and
-// as a differential reference: both layouts serve the identical API with
-// bit-identical results.
+// Each segment stores parallel columns — the timestamp column, an
+// interned-type-id column and an interned-OID column — instead of an
+// array of Occurrence rows. The probe loops of the Trigger Support walk
+// windows through ChunkCols, touching only the 8-byte timestamp and
+// 4-byte type-id columns (cache-dense, no string fields), and compare
+// interned int32 ids instead of Type structs; Occurrence rows are
+// materialized only at API edges (Window, All, OccurrencesOf), into
+// memory the caller owns.
 //
 // # Interners and retention
 //
@@ -133,27 +130,22 @@ const DefaultSegmentSize = 256
 //
 // Base is explicitly safe for any number of concurrent readers: every
 // read path takes the internal RWMutex in shared mode and either copies
-// results or appends into a buffer the caller owns. The exceptions,
-// WindowView, ChunkView and ChunkCols, return slices aliasing a
-// segment's arrays — safe because sealed segments are immutable and the
-// tail segment is append-only: existing entries are never moved or
-// overwritten, and compaction only unlinks whole segments from the
-// chain, never relocating live data, so a previously returned view stays
-// valid (the garbage collector keeps its segment alive) even across
-// appends and compactions. In the columnar layout the row views are
-// served from a per-segment cache materialized lazily under its own
-// mutex; the cache's backing array is sized to the segment once and
-// never reallocates, so the same aliasing guarantee holds. Appends and
+// results or appends into a buffer the caller owns. The exception,
+// ChunkCols, returns slices aliasing a segment's columns — safe because
+// sealed segments are immutable and the tail segment is append-only:
+// existing entries are never moved or overwritten, and compaction only
+// unlinks whole segments from the chain, never relocating live data, so
+// a previously returned view stays valid (the garbage collector keeps
+// its segment alive) even across appends and compactions. Appends and
 // CompactBelow take the mutex exclusively; the engine additionally
 // serializes writers per transaction (one open transaction owns the
 // Base), so readers racing a writer observe either the pre-append or the
 // post-append log, never a torn state.
 type Base struct {
-	mu       sync.RWMutex
-	segSize  int
-	columnar bool
-	segs     []*segment // live segments, ascending by time stamp
-	latest   map[Type]clock.Time
+	mu      sync.RWMutex
+	segSize int
+	segs    []*segment // live segments, ascending by time stamp
+	latest  map[Type]clock.Time
 	// typeIDs/typesByID and oidIDs/oidsByID are the per-Base interners:
 	// dense int32 ids in first-arrival order. The OID interner doubles as
 	// the first-arrival rank that keeps OIDs/AppendOIDs order stable
@@ -190,12 +182,8 @@ type Base struct {
 // time-stamp order plus the segment-local slice of every index — the
 // per-type leaves (with their per-object sparse lists) and the
 // per-object occurrence lists. Index entries are int32 offsets into the
-// columns; a segment and all its indexes retire together.
-//
-// The timestamp column ts is filled in both layouts (every search is a
-// binary probe over it). The columnar layout additionally fills the
-// tids/oids id columns and leaves occs nil until a row view materializes
-// it; the row layout fills occs eagerly and leaves tids/oids nil.
+// columns (ts, tids, oids); every search is a binary probe over ts. A
+// segment and all its indexes retire together.
 type segment struct {
 	firstEID EID // EID of entry 0; EIDs are dense, entry i is firstEID+i
 	ts       []clock.Time
@@ -203,13 +191,6 @@ type segment struct {
 	oids     []int32
 	leaves   map[Type]*segLeaf
 	byOID    map[types.OID][]int32
-	// occs is the row store (row layout) or the lazily materialized row
-	// cache (columnar layout). rowMu orders concurrent readers
-	// materializing the cache; the backing array is allocated once with
-	// the segment's full capacity, so previously returned views never
-	// move.
-	rowMu sync.Mutex
-	occs  []Occurrence
 }
 
 // segLeaf is one segment's slice of a leaf of the Occurred-Events tree:
@@ -239,39 +220,24 @@ func (sg *segment) bounds(since, upTo clock.Time) (int, int) {
 	return lo, hi
 }
 
-// NewBase returns an empty Event Base with the default segment size, in
-// the columnar layout.
+// NewBase returns an empty Event Base with the default segment size.
 func NewBase() *Base { return NewBaseSize(DefaultSegmentSize) }
 
-// NewBaseSize returns an empty columnar Event Base whose segments hold
-// segSize occurrences. Small sizes exercise segment boundaries in tests;
-// a size larger than any workload degenerates to the flat single-array
-// layout (useful as an uncompacted differential reference).
-func NewBaseSize(segSize int) *Base { return newBase(segSize, true) }
-
-// NewRowBase returns an Event Base in the historical row-store layout:
-// segments hold []Occurrence rows and the columnar probe APIs are
-// disabled. It is the measured ablation of experiment B13 and the
-// differential reference the columnar layout is pinned against; new code
-// should use NewBase/NewBaseSize.
-func NewRowBase(segSize int) *Base { return newBase(segSize, false) }
-
-func newBase(segSize int, columnar bool) *Base {
+// NewBaseSize returns an empty Event Base whose segments hold segSize
+// occurrences. Small sizes exercise segment boundaries in tests; a size
+// larger than any workload degenerates to the flat single-segment layout
+// (useful as an uncompacted differential reference).
+func NewBaseSize(segSize int) *Base {
 	if segSize < 1 {
 		segSize = DefaultSegmentSize
 	}
 	return &Base{
-		segSize:  segSize,
-		columnar: columnar,
-		latest:   make(map[Type]clock.Time),
-		typeIDs:  make(map[Type]int32),
-		oidIDs:   make(map[types.OID]int32),
+		segSize: segSize,
+		latest:  make(map[Type]clock.Time),
+		typeIDs: make(map[Type]int32),
+		oidIDs:  make(map[types.OID]int32),
 	}
 }
-
-// Columnar reports whether the base uses the columnar segment layout
-// (ChunkCols and the interned-id columns are available).
-func (b *Base) Columnar() bool { return b.columnar }
 
 // SetMetrics installs the instrument set. Call before the Base is
 // shared between goroutines (the engine installs it at Begin).
@@ -401,47 +367,12 @@ func (b *Base) DistinctOIDs() int {
 // occAt materializes the occurrence at index i of sg. Callers hold the
 // mutex (read suffices).
 func (b *Base) occAt(sg *segment, i int) Occurrence {
-	if !b.columnar {
-		return sg.occs[i]
-	}
 	return Occurrence{
 		EID:       sg.firstEID + EID(i),
 		Type:      b.typesByID[sg.tids[i]],
 		OID:       b.oidsByID[sg.oids[i]],
 		Timestamp: sg.ts[i],
 	}
-}
-
-// rows returns sg's occurrence rows materialized through index hi
-// (exclusive), for the aliasing views. In the row layout this is the
-// primary store. In the columnar layout rows are materialized lazily, in
-// place, into a per-segment cache whose backing array is allocated once
-// with the segment's full capacity — it never reallocates, so slices
-// handed out earlier stay valid (and bit-identical) across later
-// appends, materializations and compactions, preserving the
-// WindowView/ChunkView aliasing contract. Callers hold b.mu (read
-// suffices); rowMu orders concurrent readers materializing the same
-// segment, and the happens-before edge it provides covers every element
-// a returned view exposes.
-func (b *Base) rows(sg *segment, hi int) []Occurrence {
-	if !b.columnar {
-		return sg.occs[:hi]
-	}
-	sg.rowMu.Lock()
-	if sg.occs == nil {
-		sg.occs = make([]Occurrence, 0, b.segSize)
-	}
-	for i := len(sg.occs); i < hi; i++ {
-		sg.occs = append(sg.occs, Occurrence{
-			EID:       sg.firstEID + EID(i),
-			Type:      b.typesByID[sg.tids[i]],
-			OID:       b.oidsByID[sg.oids[i]],
-			Timestamp: sg.ts[i],
-		})
-	}
-	view := sg.occs[:hi]
-	sg.rowMu.Unlock()
-	return view
 }
 
 // Append records a new event occurrence and returns it. The time stamp
@@ -475,14 +406,10 @@ func (b *Base) Append(t Type, oid types.OID, at clock.Time) (Occurrence, error) 
 		sg = &segment{
 			firstEID: b.nextID,
 			ts:       make([]clock.Time, 0, b.segSize),
+			tids:     make([]int32, 0, b.segSize),
+			oids:     make([]int32, 0, b.segSize),
 			leaves:   make(map[Type]*segLeaf),
 			byOID:    make(map[types.OID][]int32),
-		}
-		if b.columnar {
-			sg.tids = make([]int32, 0, b.segSize)
-			sg.oids = make([]int32, 0, b.segSize)
-		} else {
-			sg.occs = make([]Occurrence, 0, b.segSize)
 		}
 		b.segs = append(b.segs, sg)
 		b.m.SegmentsAllocated.Inc()
@@ -492,12 +419,8 @@ func (b *Base) Append(t Type, oid types.OID, at clock.Time) (Occurrence, error) 
 	tid := b.internTypeLocked(t)
 	oi := b.internOIDLocked(oid)
 	sg.ts = append(sg.ts, at)
-	if b.columnar {
-		sg.tids = append(sg.tids, tid)
-		sg.oids = append(sg.oids, oi)
-	} else {
-		sg.occs = append(sg.occs, occ)
-	}
+	sg.tids = append(sg.tids, tid)
+	sg.oids = append(sg.oids, oi)
 
 	lf := sg.leaves[t]
 	if lf == nil {
@@ -790,17 +713,12 @@ func (b *Base) Window(since, upTo clock.Time) []Occurrence {
 
 // AppendWindow appends the occurrences of (since, upTo] to dst and
 // returns the extended slice. Passing a recycled dst[:0] makes the hot
-// probe loops of the Trigger Support allocation-free in steady state.
-// Columnar hot paths walk ChunkCols instead and skip the row
-// materialization entirely.
+// probe loops allocation-free in steady state; the Trigger Support's hot
+// paths walk ChunkCols instead and skip the row materialization entirely.
 func (b *Base) AppendWindow(dst []Occurrence, since, upTo clock.Time) []Occurrence {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
-		if !b.columnar {
-			dst = append(dst, sg.occs[lo:hi]...)
-			return true
-		}
 		for i := lo; i < hi; i++ {
 			dst = append(dst, b.occAt(sg, i))
 		}
@@ -809,65 +727,11 @@ func (b *Base) AppendWindow(dst []Occurrence, since, upTo clock.Time) []Occurren
 	return dst
 }
 
-// WindowView returns the occurrences of (since, upTo] as a read-only
-// view. When the window lies inside one segment the view aliases that
-// segment's row array — valid and immutable across later appends and
-// compactions (segments are never mutated or moved, only unlinked);
-// callers must not write through it. When the window spans a segment
-// boundary (or reaches into the retired region, whose live remainder may
-// start mid-chain) the method falls back to an allocated copy. Callers
-// needing guaranteed-zero-allocation iteration walk the window with
-// ChunkView (rows) or ChunkCols (columns) instead.
-func (b *Base) WindowView(since, upTo clock.Time) []Occurrence {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var view []Occurrence
-	single := true
-	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
-		rows := b.rows(sg, hi)
-		if view == nil {
-			view = rows[lo:hi]
-			return true
-		}
-		if single {
-			// Second range: abandon aliasing, start a copy.
-			view = append(append(make([]Occurrence, 0, len(view)+(hi-lo)), view...), rows[lo:hi]...)
-			single = false
-			return true
-		}
-		view = append(view, rows[lo:hi]...)
-		return true
-	})
-	return view
-}
-
-// ChunkView returns the earliest occurrences of (since, upTo] that are
-// contiguous in one segment, as a read-only alias of that segment's row
-// array (never a copy of row data), or nil when the window holds none.
-// Iterating a window chunk by chunk — advancing since to the last
-// returned occurrence's time stamp — is the allocation-free walk the
-// incremental sweep uses on row-store bases; each chunk stays valid
-// across appends and compactions for the same reason WindowView's
-// aliased case does. On a columnar base the rows are served from the
-// per-segment materialization cache (filled at most once per entry);
-// columnar hot paths should prefer ChunkCols, which touches no rows.
-func (b *Base) ChunkView(since, upTo clock.Time) []Occurrence {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var view []Occurrence
-	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
-		view = b.rows(sg, hi)[lo:hi]
-		return false
-	})
-	return view
-}
-
 // Cols is a columnar view of one contiguous run of occurrences inside a
 // single segment: parallel timestamp / interned-type-id / interned-OID
 // columns, plus the EID of the first entry (EIDs are dense — entry i has
-// EID EID0+i). Like ChunkView, the slices alias segment storage: they
-// stay valid across appends and compaction and are read-only for
-// callers. Only columnar bases produce a non-zero Cols (see Columnar).
+// EID EID0+i). The slices alias segment storage: they stay valid across
+// appends and compaction and are read-only for callers.
 type Cols struct {
 	TS   []clock.Time
 	TIDs []int32
@@ -877,17 +741,12 @@ type Cols struct {
 
 // ChunkCols returns the earliest occurrences of (since, upTo] that are
 // contiguous in one segment, as a columnar view (never a copy), or the
-// zero Cols when the window holds none. It is the column-store analogue
-// of ChunkView: the batched probe loops of the Trigger Support walk a
-// window chunk by chunk — advancing since to the last returned timestamp
-// — touching only the dense timestamp and id columns, with no Occurrence
-// materialization at all. A row-store base always returns the zero Cols;
-// callers gate on Columnar().
+// zero Cols when the window holds none. The batched probe loops of the
+// Trigger Support walk a window chunk by chunk — advancing since to the
+// last returned timestamp — touching only the dense timestamp and id
+// columns, with no Occurrence materialization at all.
 func (b *Base) ChunkCols(since, upTo clock.Time) Cols {
 	var c Cols
-	if !b.columnar {
-		return c
-	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	b.forRanges(since, upTo, func(sg *segment, lo, hi int) bool {
@@ -909,8 +768,8 @@ func (b *Base) Arrivals(since, upTo clock.Time) []clock.Time {
 }
 
 // AppendArrivals appends the time stamps of (since, upTo] to dst and
-// returns the extended slice (the buffer-reusing variant of Arrivals).
-// Both layouts serve it straight from the timestamp column.
+// returns the extended slice (the buffer-reusing variant of Arrivals),
+// straight from the timestamp column.
 func (b *Base) AppendArrivals(dst []clock.Time, since, upTo clock.Time) []clock.Time {
 	b.mu.RLock()
 	defer b.mu.RUnlock()

@@ -27,10 +27,16 @@ import (
 // segmentCodecVersion pins the frame payload layout.
 const segmentCodecVersion = 1
 
+// columnarLayout is the base meta's layout byte. The columnar segment
+// layout is the only one, so it is always 1; the byte stays in the wire
+// format so checkpoints written while a second layout existed still
+// decode, and any other value is rejected as corrupt.
+const columnarLayout = 1
+
 // SegmentFrame is one segment's contents in transit: the parallel
-// columns of the columnar layout plus the dense-EID origin. Frames
-// returned by ExportState alias live segment storage (sealed segments
-// are immutable; the tail is copied) and must be treated as read-only.
+// columns plus the dense-EID origin. Frames returned by ExportState
+// alias live segment storage (sealed segments are immutable; the tail
+// is copied) and must be treated as read-only.
 type SegmentFrame struct {
 	FirstEID EID
 	TS       []clock.Time
@@ -47,8 +53,7 @@ func (f SegmentFrame) Len() int { return len(f.TS) }
 // and the compaction counters. Together with the live segment frames it
 // reconstructs a Base bit-identically.
 type BaseMeta struct {
-	SegSize  int
-	Columnar bool
+	SegSize int
 	// Types and OIDs are the interner tables; index is the dense id.
 	// Types may include entries with no occurrence (compiled consumers
 	// intern at bind time), so Latest is clock.Never for those.
@@ -80,19 +85,13 @@ type BaseState struct {
 
 // ExportState captures the base for a checkpoint. Sealed frames alias
 // the immutable segment columns (no copy); the tail frame is copied, so
-// the export stays consistent even if appends continue afterwards. Only
-// columnar bases can be exported — the row-store ablation has no id
-// columns to persist.
+// the export stays consistent even if appends continue afterwards.
 func (b *Base) ExportState() (BaseState, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if !b.columnar {
-		return BaseState{}, fmt.Errorf("event: only columnar bases export segment state")
-	}
 	st := BaseState{
 		Meta: BaseMeta{
 			SegSize:     b.segSize,
-			Columnar:    b.columnar,
 			Types:       append([]Type(nil), b.typesByID...),
 			OIDs:        append([]types.OID(nil), b.oidsByID...),
 			Latest:      make([]clock.Time, len(b.typesByID)),
@@ -259,10 +258,10 @@ func DecodeSegment(data []byte) (SegmentFrame, error) {
 // RestoreBase reconstructs a Base from a checkpoint export: the meta
 // plus the live frames in ascending order (sealed frames first, then
 // the tail, exactly as ExportState produced them). The per-segment
-// indexes — leaves, per-object lists, the row cache geometry — are
-// rebuilt concurrently across workers (≤0 means GOMAXPROCS), which is
-// the parallel-recovery half of the durability design: segments are
-// independent, so index rebuild scales with cores.
+// indexes — leaves and per-object lists — are rebuilt concurrently
+// across workers (≤0 means GOMAXPROCS), which is the parallel-recovery
+// half of the durability design: segments are independent, so index
+// rebuild scales with cores.
 func RestoreBase(meta BaseMeta, frames []SegmentFrame, workers int) (*Base, error) {
 	if meta.SegSize < 1 {
 		return nil, fmt.Errorf("event: restore: invalid segment size %d", meta.SegSize)
@@ -271,7 +270,7 @@ func RestoreBase(meta BaseMeta, frames []SegmentFrame, workers int) (*Base, erro
 		return nil, fmt.Errorf("event: restore: latest table has %d entries for %d types",
 			len(meta.Latest), len(meta.Types))
 	}
-	b := newBase(meta.SegSize, true)
+	b := NewBaseSize(meta.SegSize)
 	for id, t := range meta.Types {
 		if err := t.Valid(); err != nil {
 			return nil, fmt.Errorf("event: restore: type %d: %w", id, err)
@@ -395,11 +394,7 @@ func AppendBaseMeta(dst []byte, m BaseMeta) []byte {
 	payload := make([]byte, 0, 64+16*len(m.Types)+8*len(m.OIDs))
 	payload = append(payload, segmentCodecVersion)
 	payload = wire.AppendUvarint(payload, uint64(m.SegSize))
-	if m.Columnar {
-		payload = append(payload, 1)
-	} else {
-		payload = append(payload, 0)
-	}
+	payload = append(payload, columnarLayout)
 	payload = wire.AppendUvarint(payload, uint64(len(m.Types)))
 	for id, t := range m.Types {
 		payload = append(payload, byte(t.Op))
@@ -439,10 +434,9 @@ func DecodeBaseMeta(data []byte) (BaseMeta, []byte, error) {
 		return BaseMeta{}, nil, err
 	}
 	m.SegSize = int(segSize)
-	if len(p) < 1 {
-		return BaseMeta{}, nil, wire.ErrCorrupt
+	if len(p) < 1 || p[0] != columnarLayout {
+		return BaseMeta{}, nil, fmt.Errorf("%w: unknown base meta layout", wire.ErrCorrupt)
 	}
-	m.Columnar = p[0] != 0
 	p = p[1:]
 	nTypes, p, err := wire.Uvarint(p)
 	if err != nil {

@@ -183,3 +183,29 @@ func TestRestoreBaseValidation(t *testing.T) {
 		t.Fatal("out-of-range TID accepted")
 	}
 }
+
+// TestBaseMetaLayoutByte pins the meta's layout byte: always written as
+// 1 (the columnar layout, the only one), and any other value is rejected
+// as corrupt rather than decoded and ignored.
+func TestBaseMetaLayoutByte(t *testing.T) {
+	st, err := buildBase(t, 8, 20).ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := wire.NextFrame(AppendBaseMeta(nil, st.Meta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// version byte, then the uvarint segment size, then the layout byte.
+	at := 1 + len(wire.AppendUvarint(nil, uint64(st.Meta.SegSize)))
+	if payload[at] != 1 {
+		t.Fatalf("layout byte = %d, want 1", payload[at])
+	}
+	for _, b := range []byte{0, 2, 0xff} {
+		bad := append([]byte(nil), payload...)
+		bad[at] = b
+		if _, _, err := DecodeBaseMeta(wire.AppendFrame(nil, bad)); !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("layout byte %d: got %v, want ErrCorrupt", b, err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package event
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -10,39 +11,153 @@ import (
 	"chimera/internal/types"
 )
 
-// fillPair appends an identical random history to a tiny-segment
-// columnar base and a flat row-store reference base (segments larger
-// than the history), so every query is checked differentially both
-// across segment boundaries and across the two storage layouts.
-func fillPair(t *testing.T, r *rand.Rand, segSize, n int) (seg, ref *Base, vocab []Type) {
+// occModel is the storage reference the segmented base is checked
+// against: a plain []Occurrence in arrival order, answering every query
+// with a linear scan filtered by window, type and OID. It shares no code
+// with the base's columns, leaves or per-object indexes.
+type occModel []Occurrence
+
+// window returns the model occurrences of (since, upTo] that keep
+// accepts, in arrival order (nil when there are none, as the base).
+func (m occModel) window(since, upTo clock.Time, keep func(Occurrence) bool) []Occurrence {
+	var out []Occurrence
+	for _, o := range m {
+		if o.Timestamp > since && o.Timestamp <= upTo && keep(o) {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+func anyOcc(Occurrence) bool { return true }
+
+func ofType(t Type) func(Occurrence) bool {
+	return func(o Occurrence) bool { return o.Type == t }
+}
+
+func ofTypeObj(t Type, oid types.OID) func(Occurrence) bool {
+	return func(o Occurrence) bool { return o.Type == t && o.OID == oid }
+}
+
+// newest returns the newest time stamp among occs, or clock.Never.
+func newest(occs []Occurrence) clock.Time {
+	if len(occs) == 0 {
+		return clock.Never
+	}
+	return occs[len(occs)-1].Timestamp
+}
+
+// latest is the newest time stamp of type t in the whole model.
+func (m occModel) latest(t Type) clock.Time {
+	return newest(m.window(clock.Never, clock.Time(1<<40), ofType(t)))
+}
+
+// arrivals returns the time stamps of (since, upTo].
+func (m occModel) arrivals(since, upTo clock.Time) []clock.Time {
+	var out []clock.Time
+	for _, o := range m.window(since, upTo, anyOcc) {
+		out = append(out, o.Timestamp)
+	}
+	return out
+}
+
+// oids returns the distinct objects of (since, upTo] in order of first
+// appearance in the whole model (the base's interner rank).
+func (m occModel) oids(since, upTo clock.Time) []types.OID {
+	in := make(map[types.OID]bool)
+	for _, o := range m.window(since, upTo, anyOcc) {
+		in[o.OID] = true
+	}
+	var out []types.OID
+	for _, o := range m {
+		if in[o.OID] {
+			out = append(out, o.OID)
+			delete(in, o.OID)
+		}
+	}
+	return out
+}
+
+// oidsOfTypes returns the distinct objects touched by any of ts in
+// (since, upTo], ascending.
+func (m occModel) oidsOfTypes(ts []Type, since, upTo clock.Time) []types.OID {
+	in := make(map[types.OID]bool)
+	for _, o := range m.window(since, upTo, anyOcc) {
+		for _, t := range ts {
+			if o.Type == t {
+				in[o.OID] = true
+			}
+		}
+	}
+	var out []types.OID
+	for oid := range in {
+		out = append(out, oid)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// fillModel appends a random history to a tiny-segment base and records
+// the same occurrences (dense EIDs from 1) in the slice model, so every
+// query is checked across segment boundaries against a reference that
+// does not share the column code.
+func fillModel(t *testing.T, r *rand.Rand, segSize, n int) (seg *Base, ref occModel, vocab []Type) {
 	t.Helper()
 	vocab = []Type{
 		Create("stock"), Delete("stock"), Modify("stock", "quantity"),
 		Create("order"), Modify("order", "total"),
 	}
 	seg = NewBaseSize(segSize)
-	ref = NewRowBase(n + 1)
 	ts := clock.Time(0)
 	for i := 0; i < n; i++ {
 		ts += clock.Time(1 + r.Intn(3)) // gaps exercise between-arrival windows
 		ty := vocab[r.Intn(len(vocab))]
 		oid := types.OID(1 + r.Intn(6))
-		if _, err := seg.Append(ty, oid, ts); err != nil {
+		occ, err := seg.Append(ty, oid, ts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.Append(ty, oid, ts); err != nil {
-			t.Fatal(err)
+		want := Occurrence{EID: EID(i + 1), Type: ty, OID: oid, Timestamp: ts}
+		if occ != want {
+			t.Fatalf("Append returned %v, want %v", occ, want)
 		}
+		ref = append(ref, want)
 	}
 	return seg, ref, vocab
 }
 
+// colsWalk reconstructs the occurrences of (since, upTo] from a chunk
+// by chunk ChunkCols walk (EIDs dense from EID0, ids resolved through
+// the interners).
+func colsWalk(t *testing.T, b *Base, since, upTo clock.Time) []Occurrence {
+	t.Helper()
+	var out []Occurrence
+	for lo := since; ; {
+		c := b.ChunkCols(lo, upTo)
+		if len(c.TS) != len(c.TIDs) || len(c.TS) != len(c.OIDs) {
+			t.Fatalf("ChunkCols ragged columns at (%d, %d)", lo, upTo)
+		}
+		if len(c.TS) == 0 {
+			return out
+		}
+		for i := range c.TS {
+			out = append(out, Occurrence{
+				EID:       c.EID0 + EID(i),
+				Type:      typeOfTID(t, b, c.TIDs[i]),
+				OID:       oidOfID(t, b, c.OIDs[i]),
+				Timestamp: c.TS[i],
+			})
+		}
+		lo = c.TS[len(c.TS)-1]
+	}
+}
+
 // TestSegmentedLookupsMatchFlat pins every window lookup of the
-// segmented base to a flat single-segment reference over random windows,
-// including windows aligned exactly on segment boundaries.
+// segmented base to the flat slice model over random windows, including
+// windows aligned exactly on segment boundaries.
 func TestSegmentedLookupsMatchFlat(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
-	seg, ref, vocab := fillPair(t, r, 4, 120)
+	seg, ref, vocab := fillModel(t, r, 4, 120)
 	if seg.Segments() < 10 {
 		t.Fatalf("want many segments, got %d", seg.Segments())
 	}
@@ -58,82 +173,52 @@ func TestSegmentedLookupsMatchFlat(t *testing.T) {
 	for _, w := range windows {
 		since, upTo := w[0], w[1]
 		for _, ty := range vocab {
-			if g, want := seg.LastOf(ty, since, upTo), ref.LastOf(ty, since, upTo); g != want {
+			if g, want := seg.LastOf(ty, since, upTo), newest(ref.window(since, upTo, ofType(ty))); g != want {
 				t.Fatalf("LastOf(%v, %d, %d) = %d, want %d", ty, since, upTo, g, want)
 			}
 			for oid := types.OID(1); oid <= 6; oid++ {
-				if g, want := seg.LastOfObj(ty, oid, since, upTo), ref.LastOfObj(ty, oid, since, upTo); g != want {
+				if g, want := seg.LastOfObj(ty, oid, since, upTo), newest(ref.window(since, upTo, ofTypeObj(ty, oid))); g != want {
 					t.Fatalf("LastOfObj(%v, o%d, %d, %d) = %d, want %d", ty, oid, since, upTo, g, want)
 				}
+				if g, want := seg.OccurrencesOfObj(ty, oid, since, upTo), ref.window(since, upTo, ofTypeObj(ty, oid)); !reflect.DeepEqual(g, want) {
+					t.Fatalf("OccurrencesOfObj(%v, o%d, %d, %d) = %v, want %v", ty, oid, since, upTo, g, want)
+				}
 			}
-			if g, want := seg.OccurrencesOf(ty, since, upTo), ref.OccurrencesOf(ty, since, upTo); !reflect.DeepEqual(g, want) {
+			if g, want := seg.OccurrencesOf(ty, since, upTo), ref.window(since, upTo, ofType(ty)); !reflect.DeepEqual(g, want) {
 				t.Fatalf("OccurrencesOf(%v, %d, %d) = %v, want %v", ty, since, upTo, g, want)
 			}
 		}
-		if g, want := seg.Window(since, upTo), ref.Window(since, upTo); !reflect.DeepEqual(g, want) {
+		want := ref.window(since, upTo, anyOcc)
+		if g := seg.Window(since, upTo); !reflect.DeepEqual(g, want) {
 			t.Fatalf("Window(%d, %d) mismatch", since, upTo)
 		}
-		if g, want := seg.WindowView(since, upTo), ref.WindowView(since, upTo); !occEqual(g, want) {
-			t.Fatalf("WindowView(%d, %d) mismatch", since, upTo)
-		}
-		if g, want := seg.Arrivals(since, upTo), ref.Arrivals(since, upTo); !reflect.DeepEqual(g, want) {
+		if g, want := seg.Arrivals(since, upTo), ref.arrivals(since, upTo); !reflect.DeepEqual(g, want) {
 			t.Fatalf("Arrivals(%d, %d) mismatch", since, upTo)
 		}
-		if g, want := seg.CountArrivals(since, upTo), ref.CountArrivals(since, upTo); g != want {
-			t.Fatalf("CountArrivals(%d, %d) = %d, want %d", since, upTo, g, want)
+		if g := seg.CountArrivals(since, upTo); g != len(want) {
+			t.Fatalf("CountArrivals(%d, %d) = %d, want %d", since, upTo, g, len(want))
 		}
-		if g, want := seg.Empty(since, upTo), ref.Empty(since, upTo); g != want {
-			t.Fatalf("Empty(%d, %d) = %v, want %v", since, upTo, g, want)
+		if g := seg.Empty(since, upTo); g != (len(want) == 0) {
+			t.Fatalf("Empty(%d, %d) = %v, want %v", since, upTo, g, len(want) == 0)
 		}
-		if g, want := seg.OIDs(since, upTo), ref.OIDs(since, upTo); !reflect.DeepEqual(g, want) {
+		if g, want := seg.OIDs(since, upTo), ref.oids(since, upTo); !reflect.DeepEqual(g, want) {
 			t.Fatalf("OIDs(%d, %d) = %v, want %v", since, upTo, g, want)
 		}
-		if g, want := seg.OIDsOfTypes(vocab[:3], since, upTo), ref.OIDsOfTypes(vocab[:3], since, upTo); !reflect.DeepEqual(g, want) {
+		if g, want := seg.OIDsOfTypes(vocab[:3], since, upTo), ref.oidsOfTypes(vocab[:3], since, upTo); !reflect.DeepEqual(g, want) {
 			t.Fatalf("OIDsOfTypes(%d, %d) = %v, want %v", since, upTo, g, want)
 		}
-		// Walking chunk by chunk reconstructs the window exactly.
-		var chunks []Occurrence
-		lo := since
-		for {
-			c := seg.ChunkView(lo, upTo)
-			if len(c) == 0 {
-				break
-			}
-			chunks = append(chunks, c...)
-			lo = c[len(c)-1].Timestamp
-		}
-		if want := ref.Window(since, upTo); !occEqual(chunks, want) {
-			t.Fatalf("ChunkView walk (%d, %d) mismatch", since, upTo)
-		}
-		// The columnar chunk walk reconstructs the same window from the
-		// raw columns (EIDs dense from EID0, ids through the interners).
-		var colOccs []Occurrence
-		lo = since
-		for {
-			c := seg.ChunkCols(lo, upTo)
-			if len(c.TS) != len(c.TIDs) || len(c.TS) != len(c.OIDs) {
-				t.Fatalf("ChunkCols ragged columns at (%d, %d)", lo, upTo)
-			}
-			if len(c.TS) == 0 {
-				break
-			}
-			for i := range c.TS {
-				colOccs = append(colOccs, Occurrence{
-					EID:       c.EID0 + EID(i),
-					Type:      typeOfTID(t, seg, c.TIDs[i]),
-					OID:       oidOfID(t, seg, c.OIDs[i]),
-					Timestamp: c.TS[i],
-				})
-			}
-			lo = c.TS[len(c.TS)-1]
-		}
-		if want := ref.Window(since, upTo); !occEqual(colOccs, want) {
+		// The chunk walk reconstructs the same window from the raw columns.
+		if g := colsWalk(t, seg, since, upTo); !occEqual(g, want) {
 			t.Fatalf("ChunkCols walk (%d, %d) mismatch", since, upTo)
 		}
-		// The row store serves no columns.
-		if c := ref.ChunkCols(since, upTo); c.TS != nil || c.TIDs != nil || c.OIDs != nil {
-			t.Fatalf("row store returned columns for (%d, %d)", since, upTo)
+	}
+	for _, ty := range vocab {
+		if g, want := seg.Latest(ty), ref.latest(ty); g != want {
+			t.Fatalf("Latest(%v) = %d, want %d", ty, g, want)
 		}
+	}
+	if g := seg.All(); !occEqual(g, ref) {
+		t.Fatal("All mismatch")
 	}
 }
 
@@ -265,9 +350,9 @@ func TestWindowBoundaryCases(t *testing.T) {
 // live remainder, and that queries above the floor are unaffected.
 func TestCompactBelow(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	seg, ref, vocab := fillPair(t, r, 4, 100)
-	last := ref.All()[ref.Len()-1].Timestamp
-	wm := last / 2
+	seg, ref, vocab := fillModel(t, r, 4, 100)
+	end := ref[len(ref)-1].Timestamp
+	wm := end / 2
 
 	n := seg.CompactBelow(wm)
 	if n == 0 {
@@ -290,25 +375,25 @@ func TestCompactBelow(t *testing.T) {
 			t.Fatalf("retained occurrence at t%d ≤ floor t%d", o.Timestamp, floor)
 		}
 	}
-	// Windows above the floor are bit-identical to the uncompacted base.
+	// Windows above the floor are bit-identical to the uncompacted model.
 	for i := 0; i < 200; i++ {
-		since := floor + clock.Time(r.Intn(int(last-floor)+1))
-		upTo := since + clock.Time(r.Intn(int(last-since)+2))
-		if g, w := seg.Window(since, upTo), ref.Window(since, upTo); !reflect.DeepEqual(g, w) {
+		since := floor + clock.Time(r.Intn(int(end-floor)+1))
+		upTo := since + clock.Time(r.Intn(int(end-since)+2))
+		if g, w := seg.Window(since, upTo), ref.window(since, upTo, anyOcc); !reflect.DeepEqual(g, w) {
 			t.Fatalf("post-compaction Window(%d, %d) mismatch", since, upTo)
 		}
 		for _, ty := range vocab {
-			if g, w := seg.LastOf(ty, since, upTo), ref.LastOf(ty, since, upTo); g != w {
+			if g, w := seg.LastOf(ty, since, upTo), newest(ref.window(since, upTo, ofType(ty))); g != w {
 				t.Fatalf("post-compaction LastOf(%v, %d, %d) = %d, want %d", ty, since, upTo, g, w)
 			}
 		}
-		if g, w := seg.OIDs(since, upTo), ref.OIDs(since, upTo); !reflect.DeepEqual(g, w) {
+		if g, w := seg.OIDs(since, upTo), ref.oids(since, upTo); !reflect.DeepEqual(g, w) {
 			t.Fatalf("post-compaction OIDs(%d, %d) mismatch: %v vs %v", since, upTo, g, w)
 		}
 	}
 	// The leaf cache (Latest) survives compaction.
 	for _, ty := range vocab {
-		if g, w := seg.Latest(ty), ref.Latest(ty); g != w {
+		if g, w := seg.Latest(ty), ref.latest(ty); g != w {
 			t.Fatalf("Latest(%v) = %d, want %d", ty, g, w)
 		}
 	}
@@ -317,14 +402,14 @@ func TestCompactBelow(t *testing.T) {
 		t.Fatalf("second CompactBelow retired %d more", again)
 	}
 	// Retiring everything still leaves appends monotone and EIDs dense.
-	seg.CompactBelow(last)
+	seg.CompactBelow(end)
 	if seg.Len() != 0 {
 		t.Fatalf("Len after full retirement = %d", seg.Len())
 	}
-	if _, err := seg.Append(vocab[0], 1, last); err == nil {
+	if _, err := seg.Append(vocab[0], 1, end); err == nil {
 		t.Fatal("non-monotone append accepted after full retirement")
 	}
-	occ, err := seg.Append(vocab[0], 1, last+1)
+	occ, err := seg.Append(vocab[0], 1, end+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,9 +418,26 @@ func TestCompactBelow(t *testing.T) {
 	}
 }
 
-// TestViewsSurviveCompaction pins the aliasing contract: a view taken
-// before compaction keeps its contents after the segments it aliases are
-// retired (compaction unlinks segments, never moves live data).
+// colsCopy deep-copies a columnar view, for comparing it later against
+// the live alias.
+func colsCopy(c Cols) Cols {
+	return Cols{
+		TS:   append([]clock.Time(nil), c.TS...),
+		TIDs: append([]int32(nil), c.TIDs...),
+		OIDs: append([]int32(nil), c.OIDs...),
+		EID0: c.EID0,
+	}
+}
+
+func colsEqual(a, b Cols) bool {
+	return reflect.DeepEqual(a.TS, b.TS) && reflect.DeepEqual(a.TIDs, b.TIDs) &&
+		reflect.DeepEqual(a.OIDs, b.OIDs) && a.EID0 == b.EID0
+}
+
+// TestViewsSurviveCompaction pins the aliasing contract: a ChunkCols
+// view taken before compaction keeps its contents after the segment it
+// aliases is retired (compaction unlinks segments, never moves live
+// data).
 func TestViewsSurviveCompaction(t *testing.T) {
 	b := NewBaseSize(3)
 	for i := 1; i <= 12; i++ {
@@ -343,15 +445,17 @@ func TestViewsSurviveCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	view := b.WindowView(clock.Never, 3) // one whole segment: aliased
-	chunk := b.ChunkView(3, 9)           // first chunk of a wider window
-	wantView := append([]Occurrence(nil), view...)
-	wantChunk := append([]Occurrence(nil), chunk...)
+	whole := b.ChunkCols(clock.Never, 3) // one whole segment
+	chunk := b.ChunkCols(3, 9)           // first chunk of a wider window
+	if len(whole.TS) != 3 || len(chunk.TS) != 3 {
+		t.Fatalf("chunk lengths %d, %d, want 3, 3", len(whole.TS), len(chunk.TS))
+	}
+	wantWhole, wantChunk := colsCopy(whole), colsCopy(chunk)
 
 	if n := b.CompactBelow(9); n != 9 {
 		t.Fatalf("retired %d, want 9", n)
 	}
-	if !occEqual(view, wantView) || !occEqual(chunk, wantChunk) {
+	if !colsEqual(whole, wantWhole) || !colsEqual(chunk, wantChunk) {
 		t.Fatal("views changed under compaction")
 	}
 	// And appends past the views leave them intact too.
@@ -360,82 +464,70 @@ func TestViewsSurviveCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !occEqual(view, wantView) || !occEqual(chunk, wantChunk) {
+	if !colsEqual(whole, wantWhole) || !colsEqual(chunk, wantChunk) {
 		t.Fatal("views changed under later appends")
 	}
 }
 
-// TestViewsStableAcrossSealsColumnar pins the aliasing contract on the
-// columnar layout against the row-store reference: WindowView/ChunkView
-// slices (and ChunkCols columns) taken at every stage — inside an
-// unsealed tail segment, before later appends seal it, and before
-// CompactBelow — keep their exact contents through all of it, and those
-// contents are bit-identical to the row store's view of the same window.
+// TestViewsStableAcrossSealsColumnar pins the aliasing contract of the
+// columnar views against the slice model: ChunkCols columns taken at
+// every stage — inside an unsealed tail segment, before later appends
+// seal it, and before CompactBelow — keep their exact contents through
+// all of it, and those contents match the model's window.
 func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	col := NewBaseSize(4)
-	row := NewRowBase(4) // same segmentation: same aliasing windows
+	var ref occModel
 	vocab := []Type{Create("stock"), Modify("stock", "quantity"), Delete("stock")}
+	appendBoth := func(ty Type, oid types.OID, ts clock.Time) {
+		t.Helper()
+		occ, err := col.Append(ty, oid, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref, occ)
+	}
 
 	type snap struct {
 		since, upTo clock.Time
-		colView     []Occurrence
-		rowView     []Occurrence
-		colChunk    []Occurrence
-		rowChunk    []Occurrence
 		cols        Cols
-		want        []Occurrence // deep copy at capture time
+		copied      Cols         // deep copy at capture time
+		want        []Occurrence // the model's window at capture time
 	}
 	var snaps []snap
 
 	ts := clock.Time(0)
 	for i := 0; i < 120; i++ {
 		ts += clock.Time(1 + r.Intn(2))
-		ty := vocab[r.Intn(len(vocab))]
-		oid := types.OID(1 + r.Intn(5))
-		if _, err := col.Append(ty, oid, ts); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := row.Append(ty, oid, ts); err != nil {
-			t.Fatal(err)
-		}
+		appendBoth(vocab[r.Intn(len(vocab))], types.OID(1+r.Intn(5)), ts)
 		// Capture views mid-stream — including from the unsealed tail
 		// (i not a multiple of the segment size) — so later appends write
 		// into the very arrays the views alias.
 		if i%7 == 3 {
 			since := ts - clock.Time(r.Intn(6)+1)
-			s := snap{
-				since:    since,
-				upTo:     ts,
-				colView:  col.WindowView(since, ts),
-				rowView:  row.WindowView(since, ts),
-				colChunk: col.ChunkView(since, ts),
-				rowChunk: row.ChunkView(since, ts),
-				cols:     col.ChunkCols(since, ts),
-			}
-			s.want = append([]Occurrence(nil), row.Window(since, ts)...)
-			snaps = append(snaps, s)
+			c := col.ChunkCols(since, ts)
+			snaps = append(snaps, snap{
+				since: since, upTo: ts, cols: c, copied: colsCopy(c),
+				want: ref.window(since, ts, anyOcc),
+			})
 		}
 	}
 
 	check := func(stage string) {
 		t.Helper()
 		for _, s := range snaps {
-			if !occEqual(s.colView, s.rowView) || !occEqual(s.colView, s.want) {
-				t.Fatalf("%s: WindowView(%d, %d) diverged", stage, s.since, s.upTo)
+			if !colsEqual(s.cols, s.copied) {
+				t.Fatalf("%s: ChunkCols(%d, %d) changed under the view", stage, s.since, s.upTo)
 			}
-			if !occEqual(s.colChunk, s.rowChunk) {
-				t.Fatalf("%s: ChunkView(%d, %d) diverged", stage, s.since, s.upTo)
-			}
-			for i := range s.colChunk {
-				if s.colChunk[i] != s.want[i] {
-					t.Fatalf("%s: ChunkView(%d, %d) changed under the view", stage, s.since, s.upTo)
-				}
+			if len(s.cols.TS) == 0 || len(s.cols.TS) > len(s.want) {
+				t.Fatalf("%s: ChunkCols(%d, %d) has %d entries for a %d-entry window",
+					stage, s.since, s.upTo, len(s.cols.TS), len(s.want))
 			}
 			for i := range s.cols.TS {
 				w := s.want[i]
-				if s.cols.TS[i] != w.Timestamp || s.cols.EID0+EID(i) != w.EID {
-					t.Fatalf("%s: ChunkCols(%d, %d) changed under the view", stage, s.since, s.upTo)
+				if s.cols.TS[i] != w.Timestamp || s.cols.EID0+EID(i) != w.EID ||
+					s.cols.TIDs[i] != col.InternType(w.Type) || oidOfID(t, col, s.cols.OIDs[i]) != w.OID {
+					t.Fatalf("%s: ChunkCols(%d, %d) entry %d diverged from the model", stage, s.since, s.upTo, i)
 				}
 			}
 		}
@@ -443,19 +535,14 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 	check("after appends across seals")
 
 	mid := ts / 2
-	if col.CompactBelow(mid) == 0 || row.CompactBelow(mid) == 0 {
+	if col.CompactBelow(mid) == 0 {
 		t.Fatal("compaction retired nothing")
 	}
 	check("after CompactBelow")
 
 	for i := 0; i < 40; i++ {
 		ts++
-		if _, err := col.Append(vocab[0], 1, ts); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := row.Append(vocab[0], 1, ts); err != nil {
-			t.Fatal(err)
-		}
+		appendBoth(vocab[0], 1, ts)
 	}
 	check("after post-compaction appends")
 }
@@ -508,17 +595,17 @@ func TestConcurrentReadersWithCompaction(t *testing.T) {
 				prev := since
 				lo := since
 				for {
-					c := b.ChunkView(lo, upTo)
-					if len(c) == 0 {
+					c := b.ChunkCols(lo, upTo)
+					if len(c.TS) == 0 {
 						break
 					}
-					for _, o := range c {
-						if o.Timestamp <= prev || o.Timestamp > upTo {
+					for _, at := range c.TS {
+						if at <= prev || at > upTo {
 							panic("chunk walk out of window order")
 						}
-						prev = o.Timestamp
+						prev = at
 					}
-					lo = c[len(c)-1].Timestamp
+					lo = c.TS[len(c.TS)-1]
 				}
 				b.LastOf(ty[r.Intn(3)], since, upTo)
 				b.OIDs(since, upTo)

@@ -12,10 +12,11 @@ import (
 	"chimera/internal/types"
 )
 
-// replayLayout is replay with the Event Base layout (and segmentation)
-// selectable: the columnar-vs-row differential suite drives identical
-// workloads through both layouts and compares firings bit for bit.
-func replayLayout(t *testing.T, o Options, defs []Def, vocab []event.Type, seed int64, blocks int, mkBase func() *event.Base, compact bool) [][]firing {
+// replayBase is replay with the Event Base (and its segmentation)
+// selectable: the segmentation differentials drive identical workloads
+// through a segmented base and a flat uncompacted one and compare
+// firings bit for bit.
+func replayBase(t *testing.T, o Options, defs []Def, vocab []event.Type, seed int64, blocks int, mkBase func() *event.Base, compact bool) [][]firing {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	b := mkBase()
@@ -61,13 +62,21 @@ func replayLayout(t *testing.T, o Options, defs []Def, vocab []event.Type, seed 
 	return rounds
 }
 
-// TestColumnarMatchesRowStore is the layout differential: over random
-// rule sets (negation, instance lifts, precedence, forced subexpression
-// overlap) and every check-path configuration — sequential reference,
-// incremental sweep, shared plan, sharded — the columnar Event Base must
-// fire the identical rule set at identical activation instants as the
-// row store.
-func TestColumnarMatchesRowStore(t *testing.T) {
+// flatBase returns a single-segment base large enough for a replay of
+// blocks blocks (at most four arrivals per block): the uncompacted
+// storage reference the segmented runs are pinned against.
+func flatBase(blocks int) func() *event.Base {
+	return func() *event.Base { return event.NewBaseSize(4*blocks + 1) }
+}
+
+// TestColumnarMatchesFlatReference is the segmentation differential:
+// over random rule sets (negation, instance lifts, precedence, forced
+// subexpression overlap) every check-path configuration — sequential
+// reference, incremental sweep, shared plan, sharded — run on the
+// default-size segmented base must fire the identical rule set at
+// identical activation instants as the recursive reference support on a
+// flat, uncompacted base.
+func TestColumnarMatchesFlatReference(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	vocab := calculus.DefaultVocabulary()
 	gen := calculus.GenOptions{Types: vocab, MaxDepth: 3,
@@ -98,23 +107,23 @@ func TestColumnarMatchesRowStore(t *testing.T) {
 			defs[i] = Def{Name: fmt.Sprintf("r%02d", i), Event: e, Priority: i % 5}
 		}
 		seed := r.Int63()
+		ref := replayBase(t, Options{}, defs, vocab, seed, 6, flatBase(6), false)
 		for _, cfg := range configs {
-			row := replayLayout(t, cfg, defs, vocab, seed, 6,
-				func() *event.Base { return event.NewRowBase(event.DefaultSegmentSize) }, false)
-			col := replayLayout(t, cfg, defs, vocab, seed, 6,
+			got := replayBase(t, cfg, defs, vocab, seed, 6,
 				func() *event.Base { return event.NewBase() }, false)
-			if !reflect.DeepEqual(row, col) {
-				t.Fatalf("trial %d cfg %+v: layouts diverged\nrow: %v\ncol: %v", trial, cfg, row, col)
+			if !reflect.DeepEqual(ref, got) {
+				t.Fatalf("trial %d cfg %+v: diverged from the flat reference\nref: %v\ngot: %v", trial, cfg, ref, got)
 			}
 		}
 	}
 }
 
-// TestColumnarCompactingMatchesRowStore runs the layout differential with
-// tiny segments and per-block low-watermark compaction on both sides, so
-// the columnar probe loops are exercised across segment seals and
-// retirements.
-func TestColumnarCompactingMatchesRowStore(t *testing.T) {
+// TestColumnarCompactingMatchesFlatReference runs the segmentation
+// differential with tiny segments and per-block low-watermark
+// compaction on the production configuration, so the columnar probe
+// loops are exercised across segment seals and retirements, against the
+// recursive reference support on a flat, uncompacted base.
+func TestColumnarCompactingMatchesFlatReference(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	vocab := calculus.DefaultVocabulary()
 	gen := calculus.GenOptions{Types: vocab, MaxDepth: 3,
@@ -126,67 +135,58 @@ func TestColumnarCompactingMatchesRowStore(t *testing.T) {
 		}
 		seed := r.Int63()
 		cfg := Options{UseFilter: true, Incremental: true, SharedPlan: true, Workers: 8}
-		row := replayLayout(t, cfg, defs, vocab, seed, 8,
-			func() *event.Base { return event.NewRowBase(4) }, true)
-		col := replayLayout(t, cfg, defs, vocab, seed, 8,
+		ref := replayBase(t, Options{}, defs, vocab, seed, 8, flatBase(8), false)
+		got := replayBase(t, cfg, defs, vocab, seed, 8,
 			func() *event.Base { return event.NewBaseSize(4) }, true)
-		if !reflect.DeepEqual(row, col) {
-			t.Fatalf("trial %d: compacting layouts diverged\nrow: %v\ncol: %v", trial, row, col)
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("trial %d: compacting run diverged from the flat reference\nref: %v\ngot: %v", trial, ref, got)
 		}
 	}
 }
 
 // TestColumnarSteadyStateAllocs mirrors TestCheckTriggeredSteadyStateAllocs
-// on an explicit layout pair: the quiet boundary check must allocate
-// nothing on the columnar base and on the row-store ablation alike.
+// for each check-path configuration: the quiet boundary check must
+// allocate nothing on the columnar base.
 func TestColumnarSteadyStateAllocs(t *testing.T) {
-	for _, layout := range []struct {
+	for _, tc := range []struct {
 		name string
-		mk   func() *event.Base
+		opts Options
 	}{
-		{"columnar", func() *event.Base { return event.NewBase() }},
-		{"rowstore", func() *event.Base { return event.NewRowBase(event.DefaultSegmentSize) }},
+		{"incremental", Options{Incremental: true}},
+		{"shared", Options{SharedPlan: true}},
+		{"shared-filtered", Options{SharedPlan: true, UseFilter: true}},
 	} {
-		for _, tc := range []struct {
-			name string
-			opts Options
-		}{
-			{"incremental", Options{Incremental: true}},
-			{"shared", Options{SharedPlan: true}},
-			{"shared-filtered", Options{SharedPlan: true, UseFilter: true}},
-		} {
-			t.Run(layout.name+"/"+tc.name, func(t *testing.T) {
-				b := layout.mk()
-				c := clock.New()
-				s := NewSupport(b, tc.opts)
-				s.BeginTransaction(c.Now())
-				mono := calculus.Conj(calculus.P(createStock), calculus.P(modShowQty))
-				nonMono := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(createStock)))
-				for i := 0; i < 6; i++ {
-					e := mono
-					if i%2 == 1 {
-						e = nonMono
-					}
-					if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Event: e}); err != nil {
-						t.Fatal(err)
-					}
+		t.Run("columnar/"+tc.name, func(t *testing.T) {
+			b := event.NewBase()
+			c := clock.New()
+			s := NewSupport(b, tc.opts)
+			s.BeginTransaction(c.Now())
+			mono := calculus.Conj(calculus.P(createStock), calculus.P(modShowQty))
+			nonMono := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(createStock)))
+			for i := 0; i < 6; i++ {
+				e := mono
+				if i%2 == 1 {
+					e = nonMono
 				}
-				for i := 0; i < 10; i++ {
-					if _, err := b.Append(createStock, 1, c.Tick()); err != nil {
-						t.Fatal(err)
-					}
+				if err := s.Define(Def{Name: fmt.Sprintf("r%d", i), Event: e}); err != nil {
+					t.Fatal(err)
 				}
-				for i := 0; i < 3; i++ {
-					s.CheckTriggered(c.Tick())
+			}
+			for i := 0; i < 10; i++ {
+				if _, err := b.Append(createStock, 1, c.Tick()); err != nil {
+					t.Fatal(err)
 				}
-				allocs := testing.AllocsPerRun(50, func() {
-					s.CheckTriggered(c.Tick())
-				})
-				if allocs != 0 {
-					t.Errorf("steady-state CheckTriggered allocates %.1f objects/op, want 0", allocs)
-				}
+			}
+			for i := 0; i < 3; i++ {
+				s.CheckTriggered(c.Tick())
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				s.CheckTriggered(c.Tick())
 			})
-		}
+			if allocs != 0 {
+				t.Errorf("steady-state CheckTriggered allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -171,13 +171,13 @@ type State struct {
 	// planRoot is the rule's root node in the support's interned DAG
 	// (Options.SharedPlan); NoNode when the shared plan is off.
 	planRoot calculus.NodeID
-	// mentionBits is V(E)'s mentioned-type set as a bitset over the Event
-	// Base's interned type ids — the columnar probe loop's replacement
-	// for Filter.Mentioned's map lookups (one load and mask per arrival ×
-	// rule, the dominant cost of wide rule sets). Built lazily against
-	// the line's base; types interned after the build have ids past the
-	// bitset's length and are correctly reported unmentioned, so growth
-	// never forces a rebuild — only a base change (mentionBase) does.
+	// mentionBits is V(E)'s mentioned-type set (Filter.MentionedTypes)
+	// as a bitset over the Event Base's interned type ids: one load and
+	// mask per arrival × rule, the dominant cost of wide rule sets, in
+	// place of a map lookup. Built lazily against the line's base; types
+	// interned after the build have ids past the bitset's length and are
+	// correctly reported unmentioned, so growth never forces a rebuild —
+	// only a base change (mentionBase) does.
 	mentionBase *event.Base
 	mentionBits []uint64
 }
@@ -201,7 +201,9 @@ func (st *State) ensureMentionTIDs(base *event.Base) {
 	st.mentionBase = base
 }
 
-// mentionedTID is Filter.Mentioned dispatched by interned type id.
+// mentionedTID reports whether an arrival of the interned type tid
+// matches any variation in V(E) regardless of sign (the paper's literal
+// "match V(E)" condition).
 func (st *State) mentionedTID(tid int32) bool {
 	if st.Filter.MatchAll {
 		return true
@@ -487,7 +489,6 @@ type Support struct {
 type planWorker struct {
 	pe        *calculus.PlanEval
 	undecided []*State
-	occs      []event.Occurrence
 }
 
 // NewSupport builds a Trigger Support over an Event Base.
@@ -1169,11 +1170,7 @@ func (l *line) checkGroup(group []*State, pw *planWorker, now clock.Time, stats 
 	}
 	lastProbed := clock.Never
 	if len(und) > 0 && minLo < now {
-		if l.base.Columnar() {
-			lastProbed, und = l.probeCols(pe, und, since, minLo, now, stats)
-		} else {
-			lastProbed, und = l.probeRows(pw, pe, und, since, minLo, now, stats)
-		}
+		lastProbed, und = l.probeCols(pe, und, since, minLo, now, stats)
 	}
 	if lastProbed != now {
 		pe.Begin(now)
@@ -1208,74 +1205,13 @@ func (l *line) checkGroup(group []*State, pw *planWorker, now clock.Time, stats 
 	pw.undecided = und[:0]
 }
 
-// probeRows is checkGroup's arrival scan over the row-store layout: the
-// window is materialized into the worker's recycled Occurrence buffer
-// and each rule consults its V(E) filter by Type map lookup. Kept
-// verbatim as the measured ablation of experiment B13. Returns the last
-// probed instant and the still-undecided remainder of und (filtered in
-// place).
-func (l *line) probeRows(pw *planWorker, pe *calculus.PlanEval, und []*State, since, minLo, now clock.Time, stats *Stats) (clock.Time, []*State) {
-	lastProbed := clock.Never
-	pw.occs = l.base.AppendWindow(pw.occs[:0], minLo, now)
-	for _, o := range pw.occs {
-		// Feed the prim cursors even once every rule has decided:
-		// the final probe at now still reads them.
-		pe.NoteArrival(o.Type, o.Timestamp)
-		if len(und) == 0 {
-			continue
-		}
-		t := o.Timestamp
-		began := false
-		kept := und[:0]
-		for _, st := range und {
-			lo := st.lastProbe
-			if lo < since {
-				lo = since
-			}
-			if t <= lo {
-				// This rule already examined t in an earlier check;
-				// re-probing could not yield a new outcome.
-				kept = append(kept, st)
-				continue
-			}
-			if !st.Filter.Mentioned(o.Type) {
-				// No variation of the rule's formula matches this
-				// arrival, so its activation cannot change at t — the
-				// same soundness argument as the incremental sweep's
-				// instant skip.
-				stats.SweepSkipped++
-				kept = append(kept, st)
-				continue
-			}
-			if !began {
-				// Open the memo generation lazily: instants every
-				// rule skips cost nothing.
-				pe.Begin(t)
-				lastProbed = t
-				began = true
-			}
-			if pe.TS(st.planRoot, t).Active() {
-				st.Triggered = true
-				st.TriggeredAt = t
-				st.lastProbe = now
-				st.pending = false
-				stats.Triggerings++
-				continue
-			}
-			kept = append(kept, st)
-		}
-		und = kept
-	}
-	return lastProbed, und
-}
-
-// probeCols is the batched columnar scan: one walk of the timestamp and
+// probeCols is checkGroup's arrival scan: one walk of the timestamp and
 // interned-type-id columns serves the whole horizon group, with no
 // Occurrence materialization. Per arrival the prim cursors advance by
 // array index (NoteArrivalTID) and each rule's mention test is one
-// bitset load — the two per-(arrival × rule) map hashes of the row path
-// become pure arithmetic. The probe semantics are identical to
-// probeRows; the differential suites pin the two bit for bit.
+// bitset load, so the per-(arrival × rule) work is pure arithmetic.
+// Returns the last probed instant and the still-undecided remainder of
+// und (filtered in place).
 func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now clock.Time, stats *Stats) (clock.Time, []*State) {
 	for _, st := range und {
 		st.ensureMentionTIDs(l.base)
@@ -1290,6 +1226,8 @@ func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now 
 		for i := 0; i < n; i++ {
 			t := cols.TS[i]
 			tid := cols.TIDs[i]
+			// Feed the prim cursors even once every rule has decided:
+			// the final probe at now still reads them.
 			pe.NoteArrivalTID(tid, t)
 			if len(und) == 0 {
 				continue
@@ -1302,15 +1240,23 @@ func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now 
 					lo = since
 				}
 				if t <= lo {
+					// This rule already examined t in an earlier check;
+					// re-probing could not yield a new outcome.
 					kept = append(kept, st)
 					continue
 				}
 				if !st.mentionedTID(tid) {
+					// No variation of the rule's formula matches this
+					// arrival, so its activation cannot change at t — the
+					// same soundness argument as the incremental sweep's
+					// instant skip.
 					stats.SweepSkipped++
 					kept = append(kept, st)
 					continue
 				}
 				if !began {
+					// Open the memo generation lazily: instants every
+					// rule skips cost nothing.
 					pe.Begin(t)
 					lastProbed = t
 					began = true
