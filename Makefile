@@ -25,12 +25,14 @@ race:
 # the store layer, parallel triggering and the shared counter at the
 # engine layer), the snapshot readers-vs-writers mix (lock-free
 # BeginRead against committing lines, including the zero-alloc
-# steady-state assertion), and the multi-session durability/group-commit
-# suite, with GOMAXPROCS pinned to 4 so goroutines genuinely interleave
-# even on small CI runners.
+# steady-state assertion), the snapshot copy-on-write suite (pinned
+# snapshots against writers that modify, create, delete, migrate and
+# roll back), and the multi-session durability/group-commit suite, with
+# GOMAXPROCS pinned to 4 so goroutines genuinely interleave even on
+# small CI runners.
 race-stress:
 	GOMAXPROCS=4 $(GO) test -race -count=2 \
-		-run 'TestLine|TestMultiSession|TestSupportConcurrentAccess|TestReadTxn' \
+		-run 'TestLine|TestMultiSession|TestSupportConcurrentAccess|TestReadTxn|TestSnapshot' \
 		./internal/object/ ./internal/engine/ ./internal/rules/
 
 # Crash/recovery smoke under the race detector: the kill-and-recover

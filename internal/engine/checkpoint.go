@@ -146,35 +146,20 @@ func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, 
 	out = wire.AppendFrame(out, catp)
 
 	// Objects frame, ascending OID (exact class, not extension).
-	var oids []types.OID
-	byOID := make(map[types.OID]ckptObject)
-	for _, name := range cat.Names() {
-		sel, err := db.store.Select(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, oid := range sel {
-			o, ok := db.store.Get(oid)
-			if !ok || o.Class().Name() != name {
-				continue
-			}
-			oids = append(oids, oid)
-			byOID[oid] = ckptObject{OID: oid, Class: name, Vals: o.Snapshot()}
-		}
-	}
-	sortOIDs(oids)
+	oids := db.store.OIDs()
 	objp := wire.AppendUvarint(nil, uint64(len(oids)))
 	for _, oid := range oids {
-		rec := byOID[oid]
-		objp = wire.AppendVarint(objp, int64(rec.OID))
-		objp = wire.AppendString(objp, rec.Class)
-		objp = wire.AppendUvarint(objp, uint64(len(rec.Vals)))
-		var err error
-		for k, v := range rec.Vals {
+		o, _ := db.store.Get(oid)
+		objp = wire.AppendVarint(objp, int64(oid))
+		objp = wire.AppendString(objp, o.Class().Name())
+		objp = wire.AppendUvarint(objp, uint64(o.NumAttrs()))
+		err := o.EachAttr(func(k string, v types.Value) (err error) {
 			objp = wire.AppendString(objp, k)
-			if objp, err = wire.AppendValue(objp, v); err != nil {
-				return nil, err
-			}
+			objp, err = wire.AppendValue(objp, v)
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	out = wire.AppendFrame(out, objp)
@@ -248,14 +233,6 @@ func (db *DB) encodeCheckpoint(seq uint64, t *Txn, st event.BaseState) ([]byte, 
 		out = event.EncodeSegment(out, *st.Tail)
 	}
 	return out, nil
-}
-
-func sortOIDs(oids []types.OID) {
-	for i := 1; i < len(oids); i++ {
-		for j := i; j > 0 && oids[j] < oids[j-1]; j-- {
-			oids[j], oids[j-1] = oids[j-1], oids[j]
-		}
-	}
 }
 
 // decodeCheckpoint parses checkpoint bytes.

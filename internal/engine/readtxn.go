@@ -38,10 +38,10 @@ type ReadTxn struct {
 // database still serves its final published state. When no commit has
 // landed since the last BeginRead, pinning is a single atomic load with
 // zero allocation; when commits have been staged since, this call
-// materializes their deltas into the next snapshot — an O(touched
-// shards) rebuild shared by every commit staged in between, serialized
-// only against other materializing readers and O(write set) stagings,
-// never against open transactions.
+// freezes the store's building trie into the next snapshot — O(1),
+// shared by every commit staged in between, serialized only against
+// other publishing readers and stagings, never against open
+// transactions.
 func (db *DB) BeginRead() ReadTxn {
 	db.stats.readTxns.Add(1)
 	db.m.readTxns.Inc()
@@ -53,8 +53,9 @@ func (db *DB) BeginRead() ReadTxn {
 func (t *ReadTxn) Epoch() uint64 { return t.snap.Epoch() }
 
 // Get returns the snapshot's object with the given OID. The object is
-// immutable — a deep copy taken at publication — and must not be
-// modified. No event is logged (reads on the snapshot path are
+// immutable — a header taken when its commit was staged, whose
+// attribute map the live store copies before writing again — and must
+// not be modified. No event is logged (reads on the snapshot path are
 // invisible to rules; use a writing transaction's Select for Chimera's
 // event-generating select).
 func (t *ReadTxn) Get(oid types.OID) (*object.Object, bool) {

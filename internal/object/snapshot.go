@@ -2,27 +2,133 @@ package object
 
 import (
 	"fmt"
-	"sort"
 
 	"chimera/internal/schema"
 	"chimera/internal/types"
 )
 
-// snapShards is the number of OID-hashed shards in a published snapshot.
-// Publication copies only the shards a commit touched, so a commit that
-// wrote k objects allocates O(k + touched-shard sizes), not O(store).
-const snapShards = 64
+// The snapshot trie is a persistent radix trie keyed by OID: trieBits
+// bits of the OID per level, so a node has trieFanout slots and the
+// height grows with the largest OID stored (five levels at 100k OIDs).
+const (
+	trieBits   = 4
+	trieFanout = 1 << trieBits
+	trieMask   = trieFanout - 1
+)
+
+// trieNode is one trie node: interior nodes use kids, leaves (level 0)
+// use objs. gen is the publication generation that allocated the node.
+// Nodes of the store's current generation are reachable from no
+// published snapshot, so staging writes them in place; nodes of an
+// older generation may be shared by a snapshot and are never written —
+// staging copies them (and so the whole path above a change) first.
+// One node type for both roles keeps every copy a single 264-byte
+// allocation.
+type trieNode struct {
+	gen  uint64
+	kids [trieFanout]*trieNode
+	objs [trieFanout]*Object
+}
+
+// trie is a root, its height (interior levels above the leaves) and
+// the number of objects stored. Copying a trie value shares its nodes.
+type trie struct {
+	root   *trieNode
+	height int
+	n      int
+}
+
+// covers reports whether k fits under a root of the trie's height.
+func (t *trie) covers(k uint64) bool {
+	return t.root != nil && k>>(trieBits*(t.height+1)) == 0
+}
+
+func (t *trie) get(oid types.OID) *Object {
+	k := uint64(oid)
+	if !t.covers(k) {
+		return nil
+	}
+	n := t.root
+	for l := t.height; l > 0; l-- {
+		if n = n.kids[(k>>(trieBits*l))&trieMask]; n == nil {
+			return nil
+		}
+	}
+	return n.objs[k&trieMask]
+}
+
+// set stores o under oid, or deletes oid when o is nil. Nodes older
+// than gen are copied before they are written; emptied nodes are kept.
+func (t *trie) set(oid types.OID, o *Object, gen uint64) {
+	k := uint64(oid)
+	old := t.get(oid)
+	if old == nil && o == nil {
+		return
+	}
+	for !t.covers(k) {
+		if t.root == nil {
+			t.root = &trieNode{gen: gen}
+			continue
+		}
+		t.root = &trieNode{gen: gen, kids: [trieFanout]*trieNode{t.root}}
+		t.height++
+	}
+	slot := &t.root
+	for l := t.height; ; l-- {
+		n := *slot
+		if n == nil {
+			n = &trieNode{gen: gen}
+		} else if n.gen != gen {
+			c := *n
+			c.gen = gen
+			n = &c
+		}
+		*slot = n
+		if l == 0 {
+			n.objs[k&trieMask] = o
+			break
+		}
+		slot = &n.kids[(k>>(trieBits*l))&trieMask]
+	}
+	switch {
+	case old == nil:
+		t.n++
+	case o == nil:
+		t.n--
+	}
+}
+
+// walk yields the objects under n, a node at the given level, in
+// ascending OID order.
+func (n *trieNode) walk(level int, yield func(*Object)) {
+	if level == 0 {
+		for _, o := range n.objs {
+			if o != nil {
+				yield(o)
+			}
+		}
+		return
+	}
+	for _, c := range n.kids {
+		if c != nil {
+			c.walk(level-1, yield)
+		}
+	}
+}
 
 // Snapshot is an immutable, epoch-stamped image of the store's committed
 // state. A Snapshot is never mutated after publication: readers may hold
 // one indefinitely and traverse it without latches, locks or allocation.
-// Objects inside a snapshot are deep copies of the committed originals
-// (the live store mutates attribute maps in place), so a snapshot object
+// It is a frozen root of the store's OID trie, sharing every node a
+// later commit did not touch with its predecessor and successor. Each
+// object in it is an immutable header taken at staging: the committed
+// class plus the live attribute map, which the live store copies before
+// its next in-place write (see Object.writable), so a snapshot object
 // can never change underneath a reader.
 type Snapshot struct {
 	epoch  uint64
 	schema *schema.Schema
-	shards [snapShards]map[types.OID]*Object
+	objs   trie
 }
 
 // Epoch returns the snapshot's publication epoch. Epochs increase by one
@@ -35,18 +141,12 @@ func (sn *Snapshot) Schema() *schema.Schema { return sn.schema }
 // Get returns the snapshot's object with the given OID. The returned
 // object is immutable; callers must not modify its attribute map.
 func (sn *Snapshot) Get(oid types.OID) (*Object, bool) {
-	o, ok := sn.shards[uint64(oid)&(snapShards-1)][oid]
-	return o, ok
+	o := sn.objs.get(oid)
+	return o, o != nil
 }
 
 // Len returns the number of objects in the snapshot.
-func (sn *Snapshot) Len() int {
-	n := 0
-	for _, sh := range sn.shards {
-		n += len(sh)
-	}
-	return n
-}
+func (sn *Snapshot) Len() int { return sn.objs.n }
 
 // Select returns the OIDs of all snapshot objects whose class is (or
 // specializes) the named class, in ascending OID order — the same
@@ -58,14 +158,13 @@ func (sn *Snapshot) Select(class string) ([]types.OID, error) {
 		return nil, fmt.Errorf("object: unknown class %q", class)
 	}
 	var out []types.OID
-	for _, sh := range sn.shards {
-		for oid, o := range sh {
+	if sn.objs.root != nil {
+		sn.objs.root.walk(sn.objs.height, func(o *Object) {
 			if o.class.IsA(target) {
-				out = append(out, oid)
+				out = append(out, o.oid)
 			}
-		}
+		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
 
@@ -78,135 +177,92 @@ func (sn *Snapshot) Extension(class string) ([]types.OID, error) {
 	return sn.Select(class)
 }
 
-// cloneObject deep-copies an object for publication: the live store
-// mutates attribute maps in place, so published objects must own theirs.
-func cloneObject(o *Object) *Object {
-	attrs := make(map[string]types.Value, len(o.attrs))
-	for k, v := range o.attrs {
-		attrs[k] = v
-	}
-	return &Object{oid: o.oid, class: o.class, attrs: attrs}
-}
-
-// Published returns the latest snapshot, materializing any staged
-// commits first. The steady-state path — no commit since the last call —
-// is a single atomic flag check plus an atomic load: no locks, no
-// allocation. When commits have been staged, the calling reader pays one
-// materialization (copying only the shards the staged write sets touch);
-// commits staged since the last reader share that one rebuild.
+// Published returns the latest snapshot, publishing any staged commits
+// first. The steady-state path — no commit since the last call — is a
+// single atomic flag check plus an atomic load: no locks, no allocation.
+// When commits have been staged, the calling reader freezes the
+// building trie in O(1); commits staged since the last reader share it.
 func (s *Store) Published() *Snapshot {
 	if !s.stale.Load() {
 		if sn := s.published.Load(); sn != nil {
 			return sn
 		}
 	}
-	return s.materialize()
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	if s.stale.Load() {
+		s.freezeLocked(s.epoch.Load())
+	}
+	return s.published.Load()
 }
 
-// materialize folds the pending delta map into a successor snapshot and
-// publishes it. It reads only pre-cloned pending objects and the previous
-// snapshot's immutable shards — never the live store — so it takes no
-// store mutex and no latches; pendMu alone serializes it against staging
-// commits and concurrent readers.
-func (s *Store) materialize() *Snapshot {
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	prev := s.published.Load()
-	if len(s.pending) == 0 {
-		// A racing reader already materialized (or nothing was ever
-		// staged); prev carries every staged commit.
-		s.stale.Store(false)
-		return prev
-	}
-	next := &Snapshot{epoch: s.epoch.Load(), schema: s.pendSchema}
-	if prev != nil {
-		next.shards = prev.shards
-	}
-	var copied [snapShards]bool
-	for oid, o := range s.pending {
-		i := uint64(oid) & (snapShards - 1)
-		if !copied[i] {
-			copied[i] = true
-			sh := make(map[types.OID]*Object, len(next.shards[i])+1)
-			for k, v := range next.shards[i] {
-				sh[k] = v
-			}
-			next.shards[i] = sh
-		}
-		if o != nil {
-			next.shards[i][oid] = o
-		} else {
-			delete(next.shards[i], oid)
-		}
-	}
-	clear(s.pending)
-	s.published.Store(next)
+// freezeLocked publishes the building trie as the snapshot of the
+// given epoch and opens the next generation, so every node the snapshot
+// reaches becomes copy-on-write for later stagings. The caller holds
+// pubMu.
+func (s *Store) freezeLocked(epoch uint64) {
+	s.published.Store(&Snapshot{epoch: epoch, schema: s.pubSchema, objs: s.building})
+	s.gen++
 	s.stale.Store(false)
-	return next
 }
 
 // PublishAll publishes a fresh snapshot of the entire committed store
-// under a new epoch, discarding any staged deltas (the full copy
-// supersedes them). Used at engine open, snapshot load and recovery;
-// per-commit publication uses StageTouched. The caller must guarantee
-// the store holds no uncommitted state (publication deep-copies whatever
-// is live).
+// under a new epoch, rebuilding the trie from the live objects (any
+// staged commit is part of the live state it reads). Used at engine
+// open, snapshot load and recovery; per-commit publication uses
+// StageTouched. The caller must guarantee the store holds no state it
+// may not publish: recovery publishes an interrupted transaction's
+// writes, which the solo line's rollback restages away.
 func (s *Store) PublishAll() {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	next := &Snapshot{epoch: s.epoch.Add(1), schema: s.schema}
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	s.building = trie{}
 	for oid, o := range s.objects {
-		i := uint64(oid) & (snapShards - 1)
-		if next.shards[i] == nil {
-			next.shards[i] = make(map[types.OID]*Object)
-		}
-		next.shards[i][oid] = cloneObject(o)
+		s.building.set(oid, o.freeze(), s.gen)
 	}
-	clear(s.pending)
-	s.published.Store(next)
-	s.stale.Store(false)
+	s.pubSchema = s.schema
+	s.freezeLocked(s.epoch.Add(1))
 }
 
 // StageTouched stages a commit's write set for publication: each OID
-// present in the live store is deep-copied into the pending delta map,
-// each absent OID is staged as a delete. Cost is O(write set) — no shard
-// copies; those are deferred to the first Published() call that observes
-// the staged state, so write-only workloads never pay them.
+// present in the live store gets a fresh immutable header in the
+// building trie, each absent OID is deleted from it. Nodes a published
+// snapshot shares are path-copied; nodes staged since the last
+// publication are written in place, so a store nobody reads never
+// copies a node. Cost is O(write set × trie height).
 //
 // The engine calls this under its commit mutex — stagings are serialized
 // in commit order — and while the committing line still holds its
-// exclusive latches on the touched OIDs, which guarantees the live values
-// copied here are the committed ones and cannot be mutated mid-copy by
-// another line. Each call advances the logical epoch by one, so epochs
-// still count commits even when several stagings share one rebuild.
+// exclusive latches on the touched OIDs, which guarantees the attribute
+// maps frozen here hold the committed values and cannot be written
+// mid-staging by another line. Each call advances the logical epoch by
+// one, so epochs still count commits even when several stagings share
+// one publication.
 func (s *Store) StageTouched(oids []types.OID) {
 	if len(oids) == 0 {
 		return
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	if s.pending == nil {
-		s.pending = make(map[types.OID]*Object)
-	}
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	for _, oid := range oids {
+		var h *Object
 		if o, ok := s.objects[oid]; ok {
-			s.pending[oid] = cloneObject(o)
-		} else {
-			s.pending[oid] = nil
+			h = o.freeze()
 		}
+		s.building.set(oid, h, s.gen)
 	}
-	s.pendSchema = s.schema
+	s.pubSchema = s.schema
 	s.epoch.Add(1)
 	s.stale.Store(true)
 }
 
 // PublishedEpoch returns the logical publication epoch: one tick per
 // staged commit or full publication, whether or not a reader has
-// materialized the snapshot yet (0 if nothing was ever published).
+// published the snapshot yet (0 if nothing was ever published).
 func (s *Store) PublishedEpoch() uint64 {
 	return s.epoch.Load()
 }

@@ -12,6 +12,7 @@ package object
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -23,10 +24,36 @@ import (
 
 // Object is one stored instance: an OID, its current class, and its
 // attribute values.
+//
+// Attribute maps are copy-on-write: publication (freeze) shares a live
+// object's map with an immutable snapshot header and marks it frozen,
+// and every in-place write goes through writable, which copies a frozen
+// map first. The live *Object keeps its identity across the copy.
 type Object struct {
-	oid   types.OID
-	class *schema.Class
-	attrs map[string]types.Value
+	oid    types.OID
+	class  *schema.Class
+	attrs  map[string]types.Value
+	frozen bool // attrs is shared with a published header
+}
+
+// freeze returns an immutable header of o for publication, sharing o's
+// attribute map and marking it frozen so o's next write copies it. The
+// caller holds the store mutex (shared suffices: the committing line's
+// exclusive latch keeps every writer of o out).
+func (o *Object) freeze() *Object {
+	o.frozen = true
+	return &Object{oid: o.oid, class: o.class, attrs: o.attrs, frozen: true}
+}
+
+// writable returns o's attribute map for an in-place write, first
+// replacing a frozen map with a private copy. The caller holds the
+// store mutex exclusively.
+func (o *Object) writable() map[string]types.Value {
+	if o.frozen {
+		o.attrs = maps.Clone(o.attrs)
+		o.frozen = false
+	}
+	return o.attrs
 }
 
 // OID returns the object's identity.
@@ -46,6 +73,21 @@ func (o *Object) Get(attr string) (types.Value, error) {
 
 // MustGet is Get for callers that already validated the attribute.
 func (o *Object) MustGet(attr string) types.Value { return o.attrs[attr] }
+
+// NumAttrs returns the number of attributes set.
+func (o *Object) NumAttrs() int { return len(o.attrs) }
+
+// EachAttr calls f for every attribute value, in map order, without
+// copying them, and stops at f's first error. On a live object the
+// caller must not write the store while iterating.
+func (o *Object) EachAttr(f func(name string, v types.Value) error) error {
+	for k, v := range o.attrs {
+		if err := f(k, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Snapshot returns a copy of the attribute values.
 func (o *Object) Snapshot() map[string]types.Value {
@@ -118,16 +160,18 @@ func (e undoEntry) apply(s *Store) {
 			return
 		}
 		if e.had {
-			o.attrs[e.attr] = e.val
+			o.writable()[e.attr] = e.val
 		} else {
-			delete(o.attrs, e.attr)
+			delete(o.writable(), e.attr)
 		}
 	case undoDelete:
 		c, ok := s.schema.Class(e.class)
 		if !ok {
 			return
 		}
-		o := &Object{oid: e.oid, class: c, attrs: e.vals}
+		// The map is the deleted object's own, which a published
+		// header may still share.
+		o := &Object{oid: e.oid, class: c, attrs: e.vals, frozen: true}
 		s.objects[e.oid] = o
 		s.classSet(e.class)[e.oid] = o
 		s.extChanged(e.class)
@@ -146,8 +190,11 @@ func (e undoEntry) apply(s *Store) {
 		o.class = c
 		// Generalizing dropped these attributes; the superclass had no
 		// such attributes so nothing could have touched them since.
-		for k, v := range e.vals {
-			o.attrs[k] = v
+		if len(e.vals) > 0 {
+			attrs := o.writable()
+			for k, v := range e.vals {
+				attrs[k] = v
+			}
 		}
 		s.classSet(e.class)[e.oid] = o
 	}
@@ -180,19 +227,22 @@ type Store struct {
 	nextLine atomic.Uint64
 	// published is the latest epoch-stamped immutable snapshot of
 	// committed state (see snapshot.go). Read transactions pin it with a
-	// single atomic load; commits stage deltas and the first reader that
-	// observes a stale snapshot materializes the successor.
+	// single atomic load; commits stage into the building trie and the
+	// first reader that observes a stale snapshot freezes it.
 	published atomic.Pointer[Snapshot]
-	// Staged publication state (see snapshot.go): commits deep-copy their
-	// write sets into pending under pendMu — O(write set), no shard
-	// copies — and flip stale; Published() materializes lazily. epoch is
-	// the logical epoch counter: one tick per staged commit or full
-	// publication, read by PublishedEpoch without materializing.
-	pendMu     sync.Mutex
-	pending    map[types.OID]*Object
-	pendSchema *schema.Schema
-	stale      atomic.Bool
-	epoch      atomic.Uint64
+	// Staged publication state (see snapshot.go), guarded by pubMu:
+	// commits write headers for their write sets into building — in
+	// place in nodes of generation gen, path-copying older ones — and
+	// flip stale; Published() freezes building in O(1) and advances gen.
+	// pubSchema is the catalog at the last staging. epoch is the logical
+	// epoch counter: one tick per staged commit or full publication,
+	// read by PublishedEpoch without publishing.
+	pubMu     sync.Mutex
+	building  trie
+	gen       uint64
+	pubSchema *schema.Schema
+	stale     atomic.Bool
+	epoch     atomic.Uint64
 }
 
 // NewStore returns an empty store over the given schema.
@@ -308,7 +358,7 @@ func (s *Store) modifyLocked(oid types.OID, attr string, v types.Value, undo *[]
 		return fmt.Errorf("object: attribute %s.%s is %s, got %s", o.class.Name(), attr, k, v.Kind())
 	}
 	old, hadOld := o.attrs[attr]
-	o.attrs[attr] = v
+	o.writable()[attr] = v
 	*undo = append(*undo, undoEntry{kind: undoModify, oid: oid, attr: attr, val: old, had: hadOld})
 	return nil
 }
@@ -328,8 +378,9 @@ func (s *Store) deleteLocked(oid types.OID, undo *[]undoEntry) error {
 	delete(s.objects, oid)
 	delete(s.classSet(o.class.Name()), oid)
 	s.extChanged(o.class.Name())
-	// The deleted object's attrs map is unreachable from the store now,
-	// so the entry can keep it without copying.
+	// The deleted object's attrs map is unreachable from the live store
+	// now, so the entry can keep it without copying; it may still be
+	// frozen, which undo honours.
 	*undo = append(*undo, undoEntry{kind: undoDelete, oid: oid, class: o.class.Name(), vals: o.attrs})
 	return nil
 }
@@ -391,7 +442,7 @@ func (s *Store) migrateLocked(oid types.OID, to string, down bool, undo *[]undoE
 				dropped[k] = v
 			}
 		}
-		o.attrs = trimmed
+		o.attrs, o.frozen = trimmed, false
 	}
 	o.class = target
 	s.classSet(target.Name())[oid] = o
@@ -460,6 +511,19 @@ func (s *Store) Get(oid types.OID) (*Object, bool) {
 	defer s.mu.RUnlock()
 	o, ok := s.objects[oid]
 	return o, ok
+}
+
+// OIDs returns the OIDs of every live object in ascending order. The
+// slice is the caller's.
+func (s *Store) OIDs() []types.OID {
+	s.mu.RLock()
+	out := make([]types.OID, 0, len(s.objects))
+	for oid := range s.objects {
+		out = append(out, oid)
+	}
+	s.mu.RUnlock()
+	slices.Sort(out)
+	return out
 }
 
 // Select returns the OIDs of all live objects whose class is (or
