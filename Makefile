@@ -27,13 +27,16 @@ race:
 # BeginRead against committing lines, including the zero-alloc
 # steady-state assertion), the snapshot copy-on-write suite (pinned
 # snapshots against writers that modify, create, delete, migrate and
-# roll back), and the multi-session durability/group-commit suite, with
-# GOMAXPROCS pinned to 4 so goroutines genuinely interleave even on
-# small CI runners.
+# roll back), the multi-session durability/group-commit suite, and the
+# Event Base's readers against a live appender and compactor plus its
+# view-stability suite (ChunkCols views and ExportState frames held
+# across seals, first-segment growth and compaction), with GOMAXPROCS
+# pinned to 4 so goroutines genuinely interleave even on small CI
+# runners.
 race-stress:
 	GOMAXPROCS=4 $(GO) test -race -count=2 \
-		-run 'TestLine|TestMultiSession|TestSupportConcurrentAccess|TestReadTxn|TestSnapshot' \
-		./internal/object/ ./internal/engine/ ./internal/rules/
+		-run 'TestLine|TestMultiSession|TestSupportConcurrentAccess|TestReadTxn|TestSnapshot|TestConcurrentReadersWithCompaction|TestViews' \
+		./internal/object/ ./internal/engine/ ./internal/rules/ ./internal/event/
 
 # Crash/recovery smoke under the race detector: the kill-and-recover
 # differential suite (random crash points, bit-identical replay), WAL

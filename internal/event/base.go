@@ -3,6 +3,7 @@ package event
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -66,11 +67,13 @@ func NewBaseMetrics(r *metrics.Registry) BaseMetrics {
 }
 
 // DefaultSegmentSize is the number of occurrences one segment of the
-// Event Base holds. 256 keeps a segment (with its segment-local indexes)
-// comfortably inside a few cache lines' worth of slice headers while
-// making appends amortized O(1) — a full segment is sealed and a fresh
-// one opened, so no append ever reallocates or copies previously logged
-// occurrences.
+// Event Base holds. 256 bounds the memmove of an append's insert into
+// the segment's permutations while keeping appends amortized O(1): a
+// full segment is sealed and a fresh one opened at full size. Only a
+// Base's first segment starts smaller (firstSegmentCap) and reallocates
+// its columns as it grows; growth copies them into a new array and
+// leaves the old one intact, so a view cut from the old array (ChunkCols,
+// ExportState's sealed frames) keeps its contents.
 const DefaultSegmentSize = 256
 
 // Base is the Event Base: the append-only log of all event occurrences
@@ -78,7 +81,11 @@ const DefaultSegmentSize = 256
 // Occurred-Events tree of Section 5. The leaves of the tree are the
 // per-type occurrence lists; each leaf keeps the time stamp of the most
 // recent occurrence of its type, and a sparse per-object index supports
-// the instance-oriented operators.
+// the instance-oriented operators. Both are stored per segment as runs
+// of two sorted permutations of the segment's entry indexes: a type's
+// leaf is its run of the by-type permutation, and an object's sparse
+// list under a type is its run of the by-(type, object) permutation.
+// Segments hold no maps; a lookup binary-searches to its run.
 //
 // Time stamps appended to a Base must be strictly increasing (the engine
 // stamps every occurrence with its own clock tick), which is what makes
@@ -87,18 +94,18 @@ const DefaultSegmentSize = 256
 // # Generational storage
 //
 // The log is a chain of fixed-size segments. A segment is append-only
-// while it is the tail and immutable once sealed; the per-type leaf
-// lists and per-object sparse indexes are segment-local, so an
-// occurrence's entire footprint — the row and every index entry pointing
-// at it — lives inside one segment. Section 5 defines R, the portion of
-// the base relevant for triggering, as the events more recent than a
-// rule's last consideration (consuming mode) or the transaction start
-// (preserving mode); once every defined rule's window has moved past a
-// segment, CompactBelow retires the whole segment in O(1), and with it
-// every index entry, keeping memory and index-scan cost proportional to
-// the live window instead of the transaction lifetime. Retired
-// occurrences are unreachable through the window API (their time stamps
-// lie at or below Floor); lookups never consult them.
+// while it is the tail and immutable once sealed; both permutations
+// are segment-local, so an occurrence's entire footprint — the row
+// and every index entry pointing at it — lives inside one segment.
+// Section 5 defines R, the portion of the base relevant for
+// triggering, as the events more recent than a rule's last
+// consideration (consuming mode) or the transaction start (preserving
+// mode); once every defined rule's window has moved past a segment,
+// CompactBelow retires the whole segment in O(1), and with it every
+// index entry, keeping memory and index-scan cost proportional to the
+// live window instead of the transaction lifetime. Retired
+// occurrences are unreachable through the window API (their time
+// stamps lie at or below Floor); lookups never consult them.
 //
 // # Columnar layout
 //
@@ -115,7 +122,7 @@ const DefaultSegmentSize = 256
 //
 // A Base interns every distinct event Type and OID it sees into dense
 // int32 ids (first-arrival order). The interners — like the per-type
-// latest-timestamp map — are transaction-lifetime state: they grow with
+// latest-timestamp table — are transaction-lifetime state: they grow with
 // the number of *distinct* types and objects, not with occurrences, and
 // compaction never shrinks them, because retired history still
 // determines id assignment (and OID first-arrival order, which
@@ -129,23 +136,28 @@ const DefaultSegmentSize = 256
 // # Concurrency
 //
 // Base is explicitly safe for any number of concurrent readers: every
-// read path takes the internal RWMutex in shared mode and either copies
-// results or appends into a buffer the caller owns. The exception,
-// ChunkCols, returns slices aliasing a segment's columns — safe because
-// sealed segments are immutable and the tail segment is append-only:
-// existing entries are never moved or overwritten, and compaction only
-// unlinks whole segments from the chain, never relocating live data, so
-// a previously returned view stays valid (the garbage collector keeps
-// its segment alive) even across appends and compactions. Appends and
-// CompactBelow take the mutex exclusively; the engine additionally
-// serializes writers per transaction (one open transaction owns the
-// Base), so readers racing a writer observe either the pre-append or the
-// post-append log, never a torn state.
+// read path takes the internal RWMutex in shared mode and either
+// copies results or appends into a buffer the caller owns. The
+// exception, ChunkCols, returns slices aliasing a segment's columns —
+// safe because sealed segments are immutable and the tail segment's
+// columns are append-only: existing entries are never overwritten, a
+// view aliases the array it was cut from, growth of the first segment
+// copies into a new array and leaves that one intact, and compaction
+// only unlinks whole segments from the chain, so a previously
+// returned view stays valid (the garbage collector keeps its array
+// alive) even across appends, growth and compactions. The
+// permutations are rearranged in place by appends but never leave the
+// package. Appends and CompactBelow take the mutex exclusively; the
+// engine additionally serializes writers per transaction (one open
+// transaction owns the Base), so readers racing a writer observe
+// either the pre-append or the post-append log, never a torn state.
 type Base struct {
 	mu      sync.RWMutex
 	segSize int
 	segs    []*segment // live segments, ascending by time stamp
-	latest  map[Type]clock.Time
+	// latest is indexed by type id: the newest time stamp of the type,
+	// clock.Never while it has not occurred.
+	latest []clock.Time
 	// typeIDs/typesByID and oidIDs/oidsByID are the per-Base interners:
 	// dense int32 ids in first-arrival order. The OID interner doubles as
 	// the first-arrival rank that keeps OIDs/AppendOIDs order stable
@@ -179,31 +191,120 @@ type Base struct {
 }
 
 // segment is one generation of the log: up to segSize occurrences in
-// time-stamp order plus the segment-local slice of every index — the
-// per-type leaves (with their per-object sparse lists) and the
-// per-object occurrence lists. Index entries are int32 offsets into the
-// columns (ts, tids, oids); every search is a binary probe over ts. A
-// segment and all its indexes retire together.
+// time-stamp order, stored as flat columns only. ts, tids and oids are
+// the parallel occurrence columns; byType and byObj are permutations of
+// the entry indexes that make up the segment's slice of the
+// Occurred-Events tree. byType is ordered by (type id, index): the run of
+// one type id is the segment's part of that type's leaf. byObj is ordered
+// by (type id, OID id, index): the run of one type id groups the leaf by
+// object, and the run of one (type id, OID id) pair is that object's
+// sparse list. Indexes ascend inside every run, and so do their time
+// stamps, so every lookup is a binary search to a run and then over ts.
+// A segment and both permutations retire together.
 type segment struct {
 	firstEID EID // EID of entry 0; EIDs are dense, entry i is firstEID+i
 	ts       []clock.Time
 	tids     []int32
 	oids     []int32
-	leaves   map[Type]*segLeaf
-	byOID    map[types.OID][]int32
+	byType   []int32
+	byObj    []int32
 }
 
-// segLeaf is one segment's slice of a leaf of the Occurred-Events tree:
-// the occurrences of one event type within the segment, plus the
-// per-object sparse lists.
-type segLeaf struct {
-	all   []int32
-	byOID map[types.OID][]int32
+// firstSegmentCap is the initial capacity of a Base's first segment. It
+// grows by append up to the segment size, so a transaction that logs a
+// handful of events pays for a handful of slots; later segments are
+// opened at full size.
+const firstSegmentCap = 8
+
+func newSegment(firstEID EID, capacity int) *segment {
+	return &segment{
+		firstEID: firstEID,
+		ts:       make([]clock.Time, 0, capacity),
+		tids:     make([]int32, 0, capacity),
+		oids:     make([]int32, 0, capacity),
+		byType:   make([]int32, 0, capacity),
+		byObj:    make([]int32, 0, capacity),
+	}
 }
 
 func (sg *segment) n() int            { return len(sg.ts) }
 func (sg *segment) minTS() clock.Time { return sg.ts[0] }
 func (sg *segment) maxTS() clock.Time { return sg.ts[len(sg.ts)-1] }
+
+// objKey orders byObj: type id in the high half, OID id in the low half
+// (both ids are non-negative).
+func objKey(tid, oi int32) uint64 { return uint64(tid)<<32 | uint64(oi) }
+
+// add appends one occurrence to the columns and inserts its index at the
+// upper bound of its key in both permutations. The new index exceeds
+// every index already present, so each run stays ascending.
+func (sg *segment) add(at clock.Time, tid, oi int32) {
+	idx := int32(len(sg.ts))
+	sg.ts = append(sg.ts, at)
+	sg.tids = append(sg.tids, tid)
+	sg.oids = append(sg.oids, oi)
+	sg.byType = slices.Insert(sg.byType, sg.typeBound(tid+1), idx)
+	sg.byObj = slices.Insert(sg.byObj, sg.objBound(0, len(sg.byObj), objKey(tid, oi+1)), idx)
+}
+
+// typeBound returns the first position of byType whose type id is at
+// least tid.
+func (sg *segment) typeBound(tid int32) int {
+	lo, hi := 0, len(sg.byType)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if sg.tids[sg.byType[m]] < tid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// objBound returns the first position of byObj in [lo, hi) whose key is
+// at least key.
+func (sg *segment) objBound(lo, hi int, key uint64) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if i := sg.byObj[m]; objKey(sg.tids[i], sg.oids[i]) < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// typeRun returns the entries of type tid, ascending.
+func (sg *segment) typeRun(tid int32) []int32 {
+	return sg.byType[sg.typeBound(tid):sg.typeBound(tid+1)]
+}
+
+// objRun returns the entries of type tid on OID id oi, ascending.
+func (sg *segment) objRun(tid, oi int32) []int32 {
+	n := len(sg.byObj)
+	lo := sg.objBound(0, n, objKey(tid, oi))
+	return sg.byObj[lo:sg.objBound(lo, n, objKey(tid, oi+1))]
+}
+
+// appendObjsIn walks the per-object runs of byObj[lo:hi] and appends,
+// as a types.OID, the OID id of every run with an entry in (since,
+// upTo]. One binary search finds each run's end and one more probes it,
+// so the cost is per distinct (type, object) pair, not per occurrence.
+func (sg *segment) appendObjsIn(dst []types.OID, lo, hi int, since, upTo clock.Time) []types.OID {
+	for lo < hi {
+		i := sg.byObj[lo]
+		tid, oi := sg.tids[i], sg.oids[i]
+		end := sg.objBound(lo, hi, objKey(tid, oi+1))
+		run := sg.byObj[lo:end]
+		if k := sg.search(run, since); k < len(run) && sg.ts[run[k]] <= upTo {
+			dst = append(dst, types.OID(oi))
+		}
+		lo = end
+	}
+	return dst
+}
 
 // search returns the first position in idxs whose occurrence has a time
 // stamp exceeding t (idxs ascend by time stamp).
@@ -233,7 +334,6 @@ func NewBaseSize(segSize int) *Base {
 	}
 	return &Base{
 		segSize: segSize,
-		latest:  make(map[Type]clock.Time),
 		typeIDs: make(map[Type]int32),
 		oidIDs:  make(map[types.OID]int32),
 	}
@@ -318,6 +418,7 @@ func (b *Base) internTypeLocked(t Type) int32 {
 	id := int32(len(b.typesByID))
 	b.typeIDs[t] = id
 	b.typesByID = append(b.typesByID, t)
+	b.latest = append(b.latest, clock.Never)
 	b.m.InternedTypes.Set(int64(len(b.typesByID)))
 	return id
 }
@@ -378,65 +479,55 @@ func (b *Base) occAt(sg *segment, i int) Occurrence {
 // Append records a new event occurrence and returns it. The time stamp
 // must exceed every time stamp already appended (including retired ones).
 func (b *Base) Append(t Type, oid types.OID, at clock.Time) (Occurrence, error) {
+	occ, _, err := b.AppendTID(t, oid, at)
+	return occ, err
+}
+
+// AppendTID is Append, additionally returning the occurrence's interned
+// type id. The engine's WAL encoder keys its per-transaction type
+// dictionary by the id, avoiding a second interner lookup per event.
+func (b *Base) AppendTID(t Type, oid types.OID, at clock.Time) (Occurrence, int32, error) {
 	if err := t.Valid(); err != nil {
-		return Occurrence{}, err
+		return Occurrence{}, 0, err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.nextID > 0 && at <= b.lastTS {
-		return Occurrence{}, fmt.Errorf(
+		return Occurrence{}, 0, fmt.Errorf(
 			"event: non-monotone time stamp t%d after t%d", at, b.lastTS)
 	}
 	if b.maxEvents > 0 && b.live >= b.maxEvents {
-		return Occurrence{}, fmt.Errorf(
+		return Occurrence{}, 0, fmt.Errorf(
 			"%w: %d live occurrences (MaxEvents %d)", ErrLimit, b.live, b.maxEvents)
 	}
 	tailRoom := len(b.segs) > 0 && b.segs[len(b.segs)-1].n() < b.segSize
 	if !tailRoom && b.maxSegments > 0 && len(b.segs) >= b.maxSegments {
-		return Occurrence{}, fmt.Errorf(
+		return Occurrence{}, 0, fmt.Errorf(
 			"%w: %d live segments (MaxSegments %d)", ErrLimit, len(b.segs), b.maxSegments)
 	}
-	b.nextID++
-	occ := Occurrence{EID: b.nextID, Type: t, OID: oid, Timestamp: at}
 
 	var sg *segment
 	if tailRoom {
 		sg = b.segs[len(b.segs)-1]
 	} else {
-		sg = &segment{
-			firstEID: b.nextID,
-			ts:       make([]clock.Time, 0, b.segSize),
-			tids:     make([]int32, 0, b.segSize),
-			oids:     make([]int32, 0, b.segSize),
-			leaves:   make(map[Type]*segLeaf),
-			byOID:    make(map[types.OID][]int32),
+		capacity := b.segSize
+		if b.nextID == 0 {
+			capacity = min(capacity, firstSegmentCap)
 		}
+		sg = newSegment(b.nextID+1, capacity)
 		b.segs = append(b.segs, sg)
 		b.m.SegmentsAllocated.Inc()
 		b.m.LiveSegments.Set(int64(len(b.segs)))
 	}
-	idx := int32(sg.n())
+	b.nextID++
 	tid := b.internTypeLocked(t)
-	oi := b.internOIDLocked(oid)
-	sg.ts = append(sg.ts, at)
-	sg.tids = append(sg.tids, tid)
-	sg.oids = append(sg.oids, oi)
-
-	lf := sg.leaves[t]
-	if lf == nil {
-		lf = &segLeaf{byOID: make(map[types.OID][]int32)}
-		sg.leaves[t] = lf
-	}
-	lf.all = append(lf.all, idx)
-	lf.byOID[oid] = append(lf.byOID[oid], idx)
-	sg.byOID[oid] = append(sg.byOID[oid], idx)
-
-	b.latest[t] = at
+	sg.add(at, tid, b.internOIDLocked(oid))
+	b.latest[tid] = at
 	b.lastTS = at
 	b.live++
 	b.m.Appends.Inc()
 	b.m.Live.Set(int64(b.live))
-	return occ, nil
+	return Occurrence{EID: b.nextID, Type: t, OID: oid, Timestamp: at}, tid, nil
 }
 
 // CompactBelow retires every segment whose newest occurrence is at or
@@ -552,45 +643,32 @@ func (b *Base) All() []Occurrence {
 func (b *Base) Latest(t Type) clock.Time {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if ts, ok := b.latest[t]; ok {
-		return ts
+	if tid, ok := b.typeIDs[t]; ok {
+		return b.latest[tid]
 	}
 	return clock.Never
 }
 
-// lastIn returns the greatest time stamp among the segment occurrences
-// at idxs lying in (since, upTo], or clock.Never.
-func lastIn(sg *segment, idxs []int32, since, upTo clock.Time) clock.Time {
-	i := sg.search(idxs, upTo)
-	if i == 0 {
-		return clock.Never
+// overlapping returns the run of live segments that can hold an
+// occurrence of (since, upTo], found by binary search over the chain.
+// Callers hold the mutex.
+func (b *Base) overlapping(since, upTo clock.Time) []*segment {
+	if since >= upTo {
+		return nil
 	}
-	ts := sg.ts[idxs[i-1]]
-	if ts <= since {
-		return clock.Never
-	}
-	return ts
+	segs := b.segs[sort.Search(len(b.segs), func(k int) bool { return b.segs[k].maxTS() > since }):]
+	return segs[:sort.Search(len(segs), func(k int) bool { return segs[k].minTS() > upTo })]
 }
 
 // lastOf walks segments newest-first and returns the most recent
-// occurrence time stamp of (since, upTo] among the index lists selected
-// by pick, or clock.Never. pick returns nil when a segment holds no
-// matching entries. Callers hold the mutex.
+// occurrence time stamp of (since, upTo] among the runs selected by pick,
+// or clock.Never. Callers hold the mutex.
 func (b *Base) lastOf(pick func(*segment) []int32, since, upTo clock.Time) clock.Time {
-	if since >= upTo {
-		return clock.Never
-	}
-	for i := len(b.segs) - 1; i >= 0; i-- {
-		sg := b.segs[i]
-		if sg.minTS() > upTo {
-			continue
-		}
-		if sg.maxTS() <= since {
-			break
-		}
+	segs := b.overlapping(since, upTo)
+	for i := len(segs) - 1; i >= 0; i-- {
+		sg := segs[i]
 		if idxs := pick(sg); len(idxs) > 0 {
-			k := sg.search(idxs, upTo)
-			if k > 0 {
+			if k := sg.search(idxs, upTo); k > 0 {
 				// The newest entry ≤ upTo decides: if it clears since it is
 				// the answer; otherwise every older entry is smaller still.
 				if ts := sg.ts[idxs[k-1]]; ts > since {
@@ -599,11 +677,17 @@ func (b *Base) lastOf(pick func(*segment) []int32, since, upTo clock.Time) clock
 				return clock.Never
 			}
 		}
-		if sg.minTS() <= since {
-			break // older segments lie entirely at or below since
-		}
 	}
 	return clock.Never
+}
+
+// objIDs resolves t and oid to their interned ids; ok is false when
+// either has never been interned. Callers hold the mutex.
+func (b *Base) objIDs(t Type, oid types.OID) (tid, oi int32, ok bool) {
+	if tid, ok = b.typeIDs[t]; ok {
+		oi, ok = b.oidIDs[oid]
+	}
+	return tid, oi, ok
 }
 
 // LastOf returns the time stamp of the most recent occurrence of type t
@@ -612,12 +696,11 @@ func (b *Base) lastOf(pick func(*segment) []int32, since, upTo clock.Time) clock
 func (b *Base) LastOf(t Type, since, upTo clock.Time) clock.Time {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.lastOf(func(sg *segment) []int32 {
-		if lf := sg.leaves[t]; lf != nil {
-			return lf.all
-		}
-		return nil
-	}, since, upTo)
+	tid, ok := b.typeIDs[t]
+	if !ok {
+		return clock.Never
+	}
+	return b.lastOf(func(sg *segment) []int32 { return sg.typeRun(tid) }, since, upTo)
 }
 
 // LastOfObj is LastOf restricted to occurrences affecting oid; it backs
@@ -625,28 +708,17 @@ func (b *Base) LastOf(t Type, since, upTo clock.Time) clock.Time {
 func (b *Base) LastOfObj(t Type, oid types.OID, since, upTo clock.Time) clock.Time {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.lastOf(func(sg *segment) []int32 {
-		if lf := sg.leaves[t]; lf != nil {
-			return lf.byOID[oid]
-		}
-		return nil
-	}, since, upTo)
+	tid, oi, ok := b.objIDs(t, oid)
+	if !ok {
+		return clock.Never
+	}
+	return b.lastOf(func(sg *segment) []int32 { return sg.objRun(tid, oi) }, since, upTo)
 }
 
 // appendMatches appends to dst the occurrences of (since, upTo] among
-// each segment's pick-selected index list, ascending. Callers hold the
-// mutex.
+// each segment's pick-selected run, ascending. Callers hold the mutex.
 func (b *Base) appendMatches(dst []Occurrence, pick func(*segment) []int32, since, upTo clock.Time) []Occurrence {
-	if since >= upTo {
-		return dst
-	}
-	for _, sg := range b.segs {
-		if sg.maxTS() <= since {
-			continue
-		}
-		if sg.minTS() > upTo {
-			break
-		}
+	for _, sg := range b.overlapping(since, upTo) {
 		idxs := pick(sg)
 		lo := sg.search(idxs, since)
 		hi := sg.search(idxs, upTo)
@@ -663,12 +735,11 @@ func (b *Base) appendMatches(dst []Occurrence, pick func(*segment) []int32, sinc
 func (b *Base) OccurrencesOf(t Type, since, upTo clock.Time) []Occurrence {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.appendMatches(nil, func(sg *segment) []int32 {
-		if lf := sg.leaves[t]; lf != nil {
-			return lf.all
-		}
+	tid, ok := b.typeIDs[t]
+	if !ok {
 		return nil
-	}, since, upTo)
+	}
+	return b.appendMatches(nil, func(sg *segment) []int32 { return sg.typeRun(tid) }, since, upTo)
 }
 
 // OccurrencesOfObj returns the occurrences of type t on object oid in the
@@ -676,28 +747,18 @@ func (b *Base) OccurrencesOf(t Type, since, upTo clock.Time) []Occurrence {
 func (b *Base) OccurrencesOfObj(t Type, oid types.OID, since, upTo clock.Time) []Occurrence {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.appendMatches(nil, func(sg *segment) []int32 {
-		if lf := sg.leaves[t]; lf != nil {
-			return lf.byOID[oid]
-		}
+	tid, oi, ok := b.objIDs(t, oid)
+	if !ok {
 		return nil
-	}, since, upTo)
+	}
+	return b.appendMatches(nil, func(sg *segment) []int32 { return sg.objRun(tid, oi) }, since, upTo)
 }
 
 // forRanges calls fn for each live segment range [lo:hi] covering
 // (since, upTo], in ascending time order. fn returning false stops the
 // walk. Callers hold the mutex.
 func (b *Base) forRanges(since, upTo clock.Time, fn func(sg *segment, lo, hi int) bool) {
-	if since >= upTo {
-		return
-	}
-	for _, sg := range b.segs {
-		if sg.maxTS() <= since {
-			continue
-		}
-		if sg.minTS() > upTo {
-			break
-		}
+	for _, sg := range b.overlapping(since, upTo) {
 		lo, hi := sg.bounds(since, upTo)
 		if lo < hi && !fn(sg, lo, hi) {
 			return
@@ -816,55 +877,42 @@ func (b *Base) OIDs(since, upTo clock.Time) []types.OID {
 // AppendOIDs appends the distinct objects of (since, upTo] to dst, in
 // order of first appearance, and returns the extended slice (the
 // buffer-reusing variant of OIDs). Candidates are gathered from each
-// overlapping segment's per-object index and ordered by the global
-// first-arrival rank (the OID interner's id order), so the order is
-// stable across segment boundaries and compactions.
+// overlapping segment's per-object runs as interned ids, which are the
+// global first-arrival rank, so the order is stable across segment
+// boundaries and compactions. With a recycled dst[:0] the call does not
+// allocate.
 func (b *Base) AppendOIDs(dst []types.OID, since, upTo clock.Time) []types.OID {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if since >= upTo {
-		return dst
-	}
 	start := len(dst)
-	for _, sg := range b.segs {
-		if sg.maxTS() <= since {
-			continue
-		}
-		if sg.minTS() > upTo {
-			break
-		}
-		for oid, idxs := range sg.byOID {
-			lo := sg.search(idxs, since)
-			if lo < len(idxs) && sg.ts[idxs[lo]] <= upTo {
-				dst = append(dst, oid)
-			}
-		}
+	for _, sg := range b.overlapping(since, upTo) {
+		dst = sg.appendObjsIn(dst, 0, len(sg.byObj), since, upTo)
 	}
-	return b.rankDedup(dst, start)
+	dst = sortDedup(dst, start)
+	b.resolveOIDs(dst[start:])
+	return dst
 }
 
-// rankDedup sorts dst[start:] by global first-arrival rank and compacts
-// duplicates (the same object surfacing from several segments) in place.
-func (b *Base) rankDedup(dst []types.OID, start int) []types.OID {
-	tail := dst[start:]
-	sort.Slice(tail, func(i, j int) bool {
-		return b.oidIDs[tail[i]] < b.oidIDs[tail[j]]
-	})
-	w := start
-	for r := start; r < len(dst); r++ {
-		if r == start || dst[r] != dst[r-1] {
-			dst[w] = dst[r]
-			w++
-		}
+// resolveOIDs replaces each interned OID id in ids by its OID. Callers
+// hold the mutex.
+func (b *Base) resolveOIDs(ids []types.OID) {
+	for i, id := range ids {
+		ids[i] = b.oidsByID[id]
 	}
-	return dst[:w]
+}
+
+// sortDedup sorts dst[start:] and compacts duplicates (the same object
+// surfacing through several types or segments) in place.
+func sortDedup(dst []types.OID, start int) []types.OID {
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
 // OIDsOfTypes returns the distinct objects affected by occurrences of any
 // of the given types in (since, upTo], in ascending OID order. The
 // occurred() event formula and the instance lifts use it to restrict the
-// object domain to the types an expression mentions. It iterates the
-// per-object lists of each type's segment leaves — O(objects touched ·
+// object domain to the types an expression mentions. It walks the
+// per-object runs of each type in each segment — O(objects touched ·
 // log) within the live window rather than a scan of every occurrence.
 func (b *Base) OIDsOfTypes(ts []Type, since, upTo clock.Time) []types.OID {
 	return b.AppendOIDsOfTypes(nil, ts, since, upTo)
@@ -877,43 +925,21 @@ func (b *Base) OIDsOfTypes(ts []Type, since, upTo clock.Time) []types.OID {
 func (b *Base) AppendOIDsOfTypes(dst []types.OID, ts []Type, since, upTo clock.Time) []types.OID {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if since >= upTo {
-		return dst
-	}
 	start := len(dst)
-	for _, sg := range b.segs {
-		if sg.maxTS() <= since {
+	segs := b.overlapping(since, upTo)
+	for _, t := range ts {
+		tid, ok := b.typeIDs[t]
+		if !ok {
 			continue
 		}
-		if sg.minTS() > upTo {
-			break
-		}
-		for _, t := range ts {
-			lf := sg.leaves[t]
-			if lf == nil {
-				continue
-			}
-			for oid, idxs := range lf.byOID {
-				// Any occurrence of this type on this object in the window?
-				lo := sg.search(idxs, since)
-				if lo < len(idxs) && sg.ts[idxs[lo]] <= upTo {
-					dst = append(dst, oid)
-				}
-			}
+		for _, sg := range segs {
+			n := len(sg.byObj)
+			lo := sg.objBound(0, n, objKey(tid, 0))
+			dst = sg.appendObjsIn(dst, lo, sg.objBound(lo, n, objKey(tid+1, 0)), since, upTo)
 		}
 	}
-	tail := dst[start:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
-	// Compact duplicates (the same object touched through several types
-	// or surfacing from several segments).
-	w := start
-	for r := start; r < len(dst); r++ {
-		if r == start || dst[r] != dst[r-1] {
-			dst[w] = dst[r]
-			w++
-		}
-	}
-	return dst[:w]
+	b.resolveOIDs(dst[start:])
+	return sortDedup(dst, start)
 }
 
 // String renders the retained base as the table of Figure 3.

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -107,12 +108,30 @@ func fillModel(t *testing.T, r *rand.Rand, segSize, n int) (seg *Base, ref occMo
 		Create("stock"), Delete("stock"), Modify("stock", "quantity"),
 		Create("order"), Modify("order", "total"),
 	}
-	seg = NewBaseSize(segSize)
+	seg, ref = fillModelWith(t, r, segSize, n, vocab, 6)
+	return seg, ref, vocab
+}
+
+// wideVocab is a vocabulary of twelve types over three classes, so the
+// permutations hold many interleaved runs.
+func wideVocab() []Type {
+	var vocab []Type
+	for _, class := range []string{"stock", "order", "card"} {
+		vocab = append(vocab, Create(class), Delete(class), Modify(class, "a"), Modify(class, "b"))
+	}
+	return vocab
+}
+
+// fillModelWith is fillModel over a given vocabulary and nOIDs objects.
+func fillModelWith(t *testing.T, r *rand.Rand, segSize, n int, vocab []Type, nOIDs int) (*Base, occModel) {
+	t.Helper()
+	seg := NewBaseSize(segSize)
+	var ref occModel
 	ts := clock.Time(0)
 	for i := 0; i < n; i++ {
 		ts += clock.Time(1 + r.Intn(3)) // gaps exercise between-arrival windows
 		ty := vocab[r.Intn(len(vocab))]
-		oid := types.OID(1 + r.Intn(6))
+		oid := types.OID(1 + r.Intn(nOIDs))
 		occ, err := seg.Append(ty, oid, ts)
 		if err != nil {
 			t.Fatal(err)
@@ -123,14 +142,15 @@ func fillModel(t *testing.T, r *rand.Rand, segSize, n int) (seg *Base, ref occMo
 		}
 		ref = append(ref, want)
 	}
-	return seg, ref, vocab
+	return seg, ref
 }
 
 // colsWalk reconstructs the occurrences of (since, upTo] from a chunk
 // by chunk ChunkCols walk (EIDs dense from EID0, ids resolved through
 // the interners).
-func colsWalk(t *testing.T, b *Base, since, upTo clock.Time) []Occurrence {
+func colsWalk(t *testing.T, b *Base, vocab []Type, since, upTo clock.Time) []Occurrence {
 	t.Helper()
+	oids := b.OIDs(clock.Never, clock.Time(1<<40))
 	var out []Occurrence
 	for lo := since; ; {
 		c := b.ChunkCols(lo, upTo)
@@ -141,10 +161,13 @@ func colsWalk(t *testing.T, b *Base, since, upTo clock.Time) []Occurrence {
 			return out
 		}
 		for i := range c.TS {
+			if int(c.OIDs[i]) >= len(oids) {
+				t.Fatalf("interned OID id %d out of range %d", c.OIDs[i], len(oids))
+			}
 			out = append(out, Occurrence{
 				EID:       c.EID0 + EID(i),
-				Type:      typeOfTID(t, b, c.TIDs[i]),
-				OID:       oidOfID(t, b, c.OIDs[i]),
+				Type:      typeOfTID(t, b, vocab, c.TIDs[i]),
+				OID:       oids[c.OIDs[i]],
 				Timestamp: c.TS[i],
 			})
 		}
@@ -152,86 +175,167 @@ func colsWalk(t *testing.T, b *Base, since, upTo clock.Time) []Occurrence {
 	}
 }
 
-// TestSegmentedLookupsMatchFlat pins every window lookup of the
-// segmented base to the flat slice model over random windows, including
-// windows aligned exactly on segment boundaries.
-func TestSegmentedLookupsMatchFlat(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	seg, ref, vocab := fillModel(t, r, 4, 120)
-	if seg.Segments() < 10 {
-		t.Fatalf("want many segments, got %d", seg.Segments())
-	}
-	last := seg.All()[seg.Len()-1].Timestamp
+// checkLookups pins every window lookup of b to the slice model over
+// nWindows random windows plus the whole log and the windows aligned on
+// segment boundaries. Per window it checks every type, and the
+// per-object lookups for every object when there are few, or for a
+// random sample of four otherwise.
+func checkLookups(t *testing.T, r *rand.Rand, stage string, b *Base, ref occModel, vocab []Type, nOIDs, segSize, nWindows int) {
+	t.Helper()
+	last := ref[len(ref)-1].Timestamp
 	windows := [][2]clock.Time{
 		{clock.Never, last}, {clock.Never, clock.Never}, {last, last + 5},
 	}
-	for i := 0; i < 300; i++ {
+	for k := segSize; k < len(ref); k += segSize {
+		edge := ref[k-1].Timestamp
+		windows = append(windows, [2]clock.Time{clock.Never, edge}, [2]clock.Time{edge, last},
+			[2]clock.Time{edge - 1, edge + 1})
+	}
+	for i := 0; i < nWindows; i++ {
 		a := clock.Time(r.Intn(int(last) + 3))
 		b := clock.Time(r.Intn(int(last) + 3))
 		windows = append(windows, [2]clock.Time{a, b})
 	}
+	var oidBuf []types.OID
 	for _, w := range windows {
 		since, upTo := w[0], w[1]
+		objs := make([]types.OID, 0, nOIDs)
+		for oid := 1; oid <= nOIDs; oid++ {
+			if nOIDs <= 6 || r.Intn(nOIDs) < 4 {
+				objs = append(objs, types.OID(oid))
+			}
+		}
 		for _, ty := range vocab {
-			if g, want := seg.LastOf(ty, since, upTo), newest(ref.window(since, upTo, ofType(ty))); g != want {
-				t.Fatalf("LastOf(%v, %d, %d) = %d, want %d", ty, since, upTo, g, want)
+			if g, want := b.LastOf(ty, since, upTo), newest(ref.window(since, upTo, ofType(ty))); g != want {
+				t.Fatalf("%s: LastOf(%v, %d, %d) = %d, want %d", stage, ty, since, upTo, g, want)
 			}
-			for oid := types.OID(1); oid <= 6; oid++ {
-				if g, want := seg.LastOfObj(ty, oid, since, upTo), newest(ref.window(since, upTo, ofTypeObj(ty, oid))); g != want {
-					t.Fatalf("LastOfObj(%v, o%d, %d, %d) = %d, want %d", ty, oid, since, upTo, g, want)
+			for _, oid := range objs {
+				if g, want := b.LastOfObj(ty, oid, since, upTo), newest(ref.window(since, upTo, ofTypeObj(ty, oid))); g != want {
+					t.Fatalf("%s: LastOfObj(%v, o%d, %d, %d) = %d, want %d", stage, ty, oid, since, upTo, g, want)
 				}
-				if g, want := seg.OccurrencesOfObj(ty, oid, since, upTo), ref.window(since, upTo, ofTypeObj(ty, oid)); !reflect.DeepEqual(g, want) {
-					t.Fatalf("OccurrencesOfObj(%v, o%d, %d, %d) = %v, want %v", ty, oid, since, upTo, g, want)
+				if g, want := b.OccurrencesOfObj(ty, oid, since, upTo), ref.window(since, upTo, ofTypeObj(ty, oid)); !reflect.DeepEqual(g, want) {
+					t.Fatalf("%s: OccurrencesOfObj(%v, o%d, %d, %d) = %v, want %v", stage, ty, oid, since, upTo, g, want)
 				}
 			}
-			if g, want := seg.OccurrencesOf(ty, since, upTo), ref.window(since, upTo, ofType(ty)); !reflect.DeepEqual(g, want) {
-				t.Fatalf("OccurrencesOf(%v, %d, %d) = %v, want %v", ty, since, upTo, g, want)
+			if g, want := b.OccurrencesOf(ty, since, upTo), ref.window(since, upTo, ofType(ty)); !reflect.DeepEqual(g, want) {
+				t.Fatalf("%s: OccurrencesOf(%v, %d, %d) = %v, want %v", stage, ty, since, upTo, g, want)
 			}
 		}
 		want := ref.window(since, upTo, anyOcc)
-		if g := seg.Window(since, upTo); !reflect.DeepEqual(g, want) {
-			t.Fatalf("Window(%d, %d) mismatch", since, upTo)
+		if g := b.Window(since, upTo); !reflect.DeepEqual(g, want) {
+			t.Fatalf("%s: Window(%d, %d) mismatch", stage, since, upTo)
 		}
-		if g, want := seg.Arrivals(since, upTo), ref.arrivals(since, upTo); !reflect.DeepEqual(g, want) {
-			t.Fatalf("Arrivals(%d, %d) mismatch", since, upTo)
+		if g, want := b.Arrivals(since, upTo), ref.arrivals(since, upTo); !reflect.DeepEqual(g, want) {
+			t.Fatalf("%s: Arrivals(%d, %d) mismatch", stage, since, upTo)
 		}
-		if g := seg.CountArrivals(since, upTo); g != len(want) {
-			t.Fatalf("CountArrivals(%d, %d) = %d, want %d", since, upTo, g, len(want))
+		if g := b.CountArrivals(since, upTo); g != len(want) {
+			t.Fatalf("%s: CountArrivals(%d, %d) = %d, want %d", stage, since, upTo, g, len(want))
 		}
-		if g := seg.Empty(since, upTo); g != (len(want) == 0) {
-			t.Fatalf("Empty(%d, %d) = %v, want %v", since, upTo, g, len(want) == 0)
+		if g := b.Empty(since, upTo); g != (len(want) == 0) {
+			t.Fatalf("%s: Empty(%d, %d) = %v, want %v", stage, since, upTo, g, len(want) == 0)
 		}
-		if g, want := seg.OIDs(since, upTo), ref.oids(since, upTo); !reflect.DeepEqual(g, want) {
-			t.Fatalf("OIDs(%d, %d) = %v, want %v", since, upTo, g, want)
+		if g, want := b.OIDs(since, upTo), ref.oids(since, upTo); !reflect.DeepEqual(g, want) {
+			t.Fatalf("%s: OIDs(%d, %d) = %v, want %v", stage, since, upTo, g, want)
 		}
-		if g, want := seg.OIDsOfTypes(vocab[:3], since, upTo), ref.oidsOfTypes(vocab[:3], since, upTo); !reflect.DeepEqual(g, want) {
-			t.Fatalf("OIDsOfTypes(%d, %d) = %v, want %v", since, upTo, g, want)
+		// Two type subsets: a prefix, and a random pick in random order.
+		picked := []Type{vocab[r.Intn(len(vocab))], vocab[r.Intn(len(vocab))], vocab[r.Intn(len(vocab))]}
+		for _, ts := range [][]Type{vocab[:3], picked} {
+			if g, want := b.OIDsOfTypes(ts, since, upTo), ref.oidsOfTypes(ts, since, upTo); !reflect.DeepEqual(g, want) {
+				t.Fatalf("%s: OIDsOfTypes(%v, %d, %d) = %v, want %v", stage, ts, since, upTo, g, want)
+			}
+		}
+		// The buffer-reusing variants keep a caller's prefix intact.
+		oidBuf = append(oidBuf[:0], -1)
+		oidBuf = b.AppendOIDs(oidBuf, since, upTo)
+		if g, want := oidBuf[1:], ref.oids(since, upTo); oidBuf[0] != -1 || len(g) != len(want) || (len(want) > 0 && !reflect.DeepEqual(g, want)) {
+			t.Fatalf("%s: AppendOIDs with prefix (%d, %d) = %v, want [-1] + %v", stage, since, upTo, oidBuf, want)
+		}
+		oidBuf = append(oidBuf[:0], -1)
+		oidBuf = b.AppendOIDsOfTypes(oidBuf, picked, since, upTo)
+		if g, want := oidBuf[1:], ref.oidsOfTypes(picked, since, upTo); oidBuf[0] != -1 || len(g) != len(want) || (len(want) > 0 && !reflect.DeepEqual(g, want)) {
+			t.Fatalf("%s: AppendOIDsOfTypes with prefix (%d, %d) = %v, want [-1] + %v", stage, since, upTo, oidBuf, want)
 		}
 		// The chunk walk reconstructs the same window from the raw columns.
-		if g := colsWalk(t, seg, since, upTo); !occEqual(g, want) {
-			t.Fatalf("ChunkCols walk (%d, %d) mismatch", since, upTo)
+		if g := colsWalk(t, b, vocab, since, upTo); !occEqual(g, want) {
+			t.Fatalf("%s: ChunkCols walk (%d, %d) mismatch", stage, since, upTo)
 		}
 	}
 	for _, ty := range vocab {
-		if g, want := seg.Latest(ty), ref.latest(ty); g != want {
-			t.Fatalf("Latest(%v) = %d, want %d", ty, g, want)
+		if g, want := b.Latest(ty), ref.latest(ty); g != want {
+			t.Fatalf("%s: Latest(%v) = %d, want %d", stage, ty, g, want)
 		}
 	}
-	if g := seg.All(); !occEqual(g, ref) {
-		t.Fatal("All mismatch")
+	if g := b.All(); !occEqual(g, ref) {
+		t.Fatalf("%s: All mismatch", stage)
+	}
+}
+
+// restored round-trips b through ExportState, the segment codec and
+// RestoreBase.
+func restored(t *testing.T, b *Base) *Base {
+	t.Helper()
+	st, err := b.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := st.Sealed
+	if st.Tail != nil {
+		frames = append(frames, *st.Tail)
+	}
+	for i, f := range frames {
+		if frames[i], err = DecodeSegment(EncodeSegment(nil, f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := RestoreBase(st.Meta, frames, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestSegmentedLookupsMatchFlat pins every window lookup of the
+// segmented base to the flat slice model over random windows, including
+// windows aligned exactly on segment boundaries, live and after a
+// checkpoint round trip. Size 4 seals a segment every few appends; 64
+// and DefaultSegmentSize exceed the first segment's initial capacity,
+// so its columns and permutations grow while the history builds, and
+// the wide vocabulary interleaves many (type, object) runs.
+func TestSegmentedLookupsMatchFlat(t *testing.T) {
+	for _, tc := range []struct {
+		segSize, n, nOIDs int
+		vocab             []Type
+	}{
+		{4, 120, 6, nil},
+		{64, 3*64 + 17, 40, wideVocab()},
+		{DefaultSegmentSize, 2*DefaultSegmentSize + 40, 40, wideVocab()},
+	} {
+		t.Run(fmt.Sprintf("seg%d", tc.segSize), func(t *testing.T) {
+			r := rand.New(rand.NewSource(77))
+			var seg *Base
+			var ref occModel
+			vocab := tc.vocab
+			if vocab == nil {
+				seg, ref, vocab = fillModel(t, r, tc.segSize, tc.n)
+			} else {
+				seg, ref = fillModelWith(t, r, tc.segSize, tc.n, vocab, tc.nOIDs)
+			}
+			if want := (tc.n + tc.segSize - 1) / tc.segSize; seg.Segments() != want {
+				t.Fatalf("want %d segments, got %d", want, seg.Segments())
+			}
+			checkLookups(t, r, "live", seg, ref, vocab, tc.nOIDs, tc.segSize, 300)
+			checkLookups(t, r, "restored", restored(t, seg), ref, vocab, tc.nOIDs, tc.segSize, 300)
+		})
 	}
 }
 
 // typeOfTID resolves an interned type id by probing the base's interner
-// through InternType (interning is idempotent, so re-interning every
-// vocabulary type finds the one with the matching id).
-func typeOfTID(t *testing.T, b *Base, tid int32) Type {
+// through InternType with the types of vocab that occurred (interning an
+// occurred type is a pure lookup, so the probe leaves the base as is).
+func typeOfTID(t *testing.T, b *Base, vocab []Type, tid int32) Type {
 	t.Helper()
-	for _, ty := range []Type{
-		Create("stock"), Delete("stock"), Modify("stock", "quantity"),
-		Create("order"), Modify("order", "total"),
-	} {
-		if b.InternType(ty) == tid {
+	for _, ty := range vocab {
+		if b.Latest(ty) != clock.Never && b.InternType(ty) == tid {
 			return ty
 		}
 	}
@@ -470,13 +574,47 @@ func TestViewsSurviveCompaction(t *testing.T) {
 }
 
 // TestViewsStableAcrossSealsColumnar pins the aliasing contract of the
-// columnar views against the slice model: ChunkCols columns taken at
-// every stage — inside an unsealed tail segment, before later appends
-// seal it, and before CompactBelow — keep their exact contents through
-// all of it, and those contents match the model's window.
+// columnar views against the slice model: ChunkCols columns and
+// ExportState frames taken at every stage — inside an unsealed tail
+// segment, while the first segment's columns grow past their initial
+// capacity, before later appends seal it, and before CompactBelow — keep
+// their exact contents through all of it, the views match the model's
+// window, and every held export restores to the model prefix it was
+// taken at.
 func TestViewsStableAcrossSealsColumnar(t *testing.T) {
+	for _, segSize := range []int{4, 64, DefaultSegmentSize} {
+		t.Run(fmt.Sprintf("seg%d", segSize), func(t *testing.T) { checkViewsStable(t, segSize) })
+	}
+}
+
+// copyState deep-copies an export, for comparing it later against the
+// frames that alias live segments.
+func copyState(st BaseState) BaseState {
+	cp := BaseState{Meta: st.Meta}
+	cp.Meta.Types = append([]Type(nil), st.Meta.Types...)
+	cp.Meta.OIDs = append([]types.OID(nil), st.Meta.OIDs...)
+	cp.Meta.Latest = append([]clock.Time(nil), st.Meta.Latest...)
+	copyFrame := func(f SegmentFrame) SegmentFrame {
+		return SegmentFrame{
+			FirstEID: f.FirstEID,
+			TS:       append([]clock.Time(nil), f.TS...),
+			TIDs:     append([]int32(nil), f.TIDs...),
+			OIDs:     append([]int32(nil), f.OIDs...),
+		}
+	}
+	for _, f := range st.Sealed {
+		cp.Sealed = append(cp.Sealed, copyFrame(f))
+	}
+	if st.Tail != nil {
+		tail := copyFrame(*st.Tail)
+		cp.Tail = &tail
+	}
+	return cp
+}
+
+func checkViewsStable(t *testing.T, segSize int) {
 	r := rand.New(rand.NewSource(31))
-	col := NewBaseSize(4)
+	col := NewBaseSize(segSize)
 	var ref occModel
 	vocab := []Type{Create("stock"), Modify("stock", "quantity"), Delete("stock")}
 	appendBoth := func(ty Type, oid types.OID, ts clock.Time) {
@@ -494,15 +632,20 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 		copied      Cols         // deep copy at capture time
 		want        []Occurrence // the model's window at capture time
 	}
+	type export struct {
+		st, copied BaseState
+		n          int // model prefix the export was taken at
+	}
 	var snaps []snap
+	var exports []export
 
 	ts := clock.Time(0)
-	for i := 0; i < 120; i++ {
+	for i := 0; i < max(120, 3*segSize); i++ {
 		ts += clock.Time(1 + r.Intn(2))
 		appendBoth(vocab[r.Intn(len(vocab))], types.OID(1+r.Intn(5)), ts)
 		// Capture views mid-stream — including from the unsealed tail
 		// (i not a multiple of the segment size) — so later appends write
-		// into the very arrays the views alias.
+		// into, or reallocate away from, the very arrays the views alias.
 		if i%7 == 3 {
 			since := ts - clock.Time(r.Intn(6)+1)
 			c := col.ChunkCols(since, ts)
@@ -511,8 +654,18 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 				want: ref.window(since, ts, anyOcc),
 			})
 		}
+		// Exports at every power of two (each growth step of the first
+		// segment) and just after every seal.
+		if n := i + 1; n&(n-1) == 0 || n%segSize == 0 {
+			st, err := col.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			exports = append(exports, export{st: st, copied: copyState(st), n: n})
+		}
 	}
 
+	moved := false // some view outlived a reallocation of its segment
 	check := func(stage string) {
 		t.Helper()
 		for _, s := range snaps {
@@ -530,6 +683,25 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 					t.Fatalf("%s: ChunkCols(%d, %d) entry %d diverged from the model", stage, s.since, s.upTo, i)
 				}
 			}
+			if c := col.ChunkCols(s.since, s.upTo); len(c.TS) > 0 && &c.TS[0] != &s.cols.TS[0] {
+				moved = true
+			}
+		}
+		for _, e := range exports {
+			if !reflect.DeepEqual(e.st, e.copied) {
+				t.Fatalf("%s: export at %d occurrences changed under the frames", stage, e.n)
+			}
+			frames := e.st.Sealed
+			if e.st.Tail != nil {
+				frames = append(frames[:len(frames):len(frames)], *e.st.Tail)
+			}
+			rb, err := RestoreBase(e.st.Meta, frames, 2)
+			if err != nil {
+				t.Fatalf("%s: restore export at %d occurrences: %v", stage, e.n, err)
+			}
+			if !occEqual(rb.All(), ref[:e.n]) {
+				t.Fatalf("%s: export at %d occurrences restores to a different log", stage, e.n)
+			}
 		}
 	}
 	check("after appends across seals")
@@ -545,6 +717,9 @@ func TestViewsStableAcrossSealsColumnar(t *testing.T) {
 		appendBoth(vocab[0], 1, ts)
 	}
 	check("after post-compaction appends")
+	if segSize > firstSegmentCap && !moved {
+		t.Fatal("no view outlived a reallocation of the first segment's columns")
+	}
 }
 
 // TestConcurrentReadersWithCompaction stress-tests the reader paths

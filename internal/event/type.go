@@ -6,7 +6,8 @@
 // The package also provides the Occurred-Events data structure of
 // Section 5: a tree whose leaves are the per-type occurrence lists, each
 // leaf keeping the time stamp of the most recent occurrence of its type,
-// plus the sparse per-object index needed by instance-oriented operators.
+// plus the sparse per-object index needed by instance-oriented operators,
+// stored per segment as runs of sorted index permutations (see Base).
 package event
 
 import (
