@@ -14,9 +14,10 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # The -race run covers the concurrent Trigger Support stress test
-# (TestSupportConcurrentAccess), the sharded/incremental differential
-# suites, and the internal/metrics linearizability tests; it is part of
-# the tier-1 verification.
+# (TestSupportConcurrentAccess), the shared-plan and segmentation
+# differential suites, the concurrent-session suites, and the
+# internal/metrics linearizability tests; it is part of the tier-1
+# verification.
 race:
 	$(GO) test -race ./...
 
@@ -69,9 +70,9 @@ torture:
 vet:
 	$(GO) vet ./...
 
-# Full measured-experiment sweep (B1..B16); BENCH_trigger.json holds the
-# machine-readable B8 results, BENCH_eb.json the B9 Event Base soak,
-# BENCH_obs.json the B10 observability-overhead run, BENCH_cse.json
+# Full measured-experiment sweep (B1..B7, B9..B16; BENCH_trigger.json is
+# frozen history of the retired B8). BENCH_eb.json holds the B9 Event
+# Base soak, BENCH_obs.json the B10 observability-overhead run, BENCH_cse.json
 # the B11 shared-trigger-plan sweep, BENCH_mt.json the B12
 # multi-session sweep, BENCH_col.json the B13 columnar triggering-scan
 # sweep, BENCH_wal.json the B14 WAL ingest-overhead and
@@ -80,7 +81,6 @@ vet:
 # snapshot-read scaling and group-commit sync-sharing run.
 bench:
 	$(GO) run ./cmd/chimera-bench
-	$(GO) run ./cmd/chimera-bench -exp B8 -json BENCH_trigger.json >/dev/null
 	$(GO) run ./cmd/chimera-bench -exp B9 -json BENCH_eb.json >/dev/null
 	$(GO) run ./cmd/chimera-bench -metrics >/dev/null
 	$(GO) run ./cmd/chimera-bench -exp B11 -json BENCH_cse.json >/dev/null

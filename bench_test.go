@@ -196,50 +196,7 @@ func BenchmarkExistsProbe(b *testing.B) {
 	}
 }
 
-// B8 — trigger determination through the sequential reference support
-// vs the sharded + incremental configuration.
-func BenchmarkShardedSupport(b *testing.B) {
-	vocab := workload.Vocabulary(32)
-	r := rand.New(rand.NewSource(41))
-	defs := make([]rules.Def, 1000)
-	for i := range defs {
-		defs[i] = rules.Def{
-			Name: fmt.Sprintf("r%05d", i),
-			Event: calculus.Conj(
-				calculus.P(vocab[r.Intn(len(vocab))]),
-				calculus.Neg(calculus.P(vocab[r.Intn(len(vocab))]))),
-			Priority: i,
-		}
-	}
-	for _, mode := range []struct {
-		name string
-		opts rules.Options
-	}{
-		{"sequential", rules.Options{UseFilter: true}},
-		{"incremental", rules.Options{UseFilter: true, Incremental: true}},
-		{"sharded-4", rules.Options{UseFilter: true, Incremental: true, Workers: 4}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c := clock.New()
-				base := event.NewBase()
-				s := rules.NewSupport(base, mode.opts)
-				s.BeginTransaction(c.Now())
-				for _, d := range defs {
-					if err := s.Define(d); err != nil {
-						b.Fatal(err)
-					}
-				}
-				stream := workload.Stream(rand.New(rand.NewSource(42)), c, base, workload.StreamOptions{
-					Blocks: 20, EventsPerBlock: 12, Objects: 16, Vocab: vocab,
-				})
-				workload.Drive(s, c, stream, true)
-			}
-		})
-	}
-}
-
-// B11 — shared trigger plans: the incremental per-rule sweep vs the
+// B11 — shared trigger plans: the per-rule recursive probe vs the
 // interned DAG with memoized ts evaluation, on rule sets with forced
 // subexpression overlap (chimera-bench -exp B11 prints the full table).
 func BenchmarkSharedPlan(b *testing.B) {
@@ -253,9 +210,8 @@ func BenchmarkSharedPlan(b *testing.B) {
 		name string
 		opts rules.Options
 	}{
-		{"incremental", rules.Options{UseFilter: true, Incremental: true}},
-		{"shared", rules.Options{UseFilter: true, Incremental: true, SharedPlan: true}},
-		{"shared-memoOff", rules.Options{UseFilter: true, Incremental: true, SharedPlan: true, MemoOff: true}},
+		{"recursive", rules.Options{UseFilter: true}},
+		{"shared", rules.Options{UseFilter: true, SharedPlan: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -279,8 +235,8 @@ func BenchmarkSharedPlan(b *testing.B) {
 }
 
 // Steady-state CheckTriggered on rules that never fire: after warmup
-// the call recycles every buffer, so allocs/op must report 0 for all
-// three evaluation modes (the test suite asserts this; the benchmark
+// the call recycles every buffer, so allocs/op must report 0 for
+// both evaluation modes (the test suite asserts this; the benchmark
 // shows it alongside the per-call cost).
 func BenchmarkCheckSteadyState(b *testing.B) {
 	vocab := workload.Vocabulary(4)
@@ -289,7 +245,6 @@ func BenchmarkCheckSteadyState(b *testing.B) {
 		opts rules.Options
 	}{
 		{"classic", rules.Options{UseFilter: true}},
-		{"incremental", rules.Options{UseFilter: true, Incremental: true}},
 		{"shared", rules.Options{UseFilter: true, SharedPlan: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {

@@ -1,12 +1,12 @@
 // Command chimera-bench runs the measured experiments of EXPERIMENTS.md
-// (B1..B16) and prints their tables. Each experiment exercises a
-// performance claim Section 5 of the paper makes qualitatively.
+// (B1..B7 and B9..B16; B8 is retired) and prints their tables. Each
+// experiment exercises a performance claim Section 5 of the paper makes
+// qualitatively.
 //
 // Usage:
 //
 //	chimera-bench                          # run everything
 //	chimera-bench -exp B1                  # run one experiment
-//	chimera-bench -exp B8 -json out.json   # machine-readable B8 results
 //	chimera-bench -exp B9 -json eb.json    # machine-readable B9 soak
 //	chimera-bench -metrics                 # B10 overhead run -> BENCH_obs.json
 //	chimera-bench -exp B11 -json BENCH_cse.json        # shared-plan sweep
@@ -31,9 +31,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (B1..B16); empty runs all")
+	exp := flag.String("exp", "", "experiment id (B1..B7, B9..B16); empty runs all")
 	format := flag.String("format", "table", "output format: table or csv")
-	jsonOut := flag.String("json", "", "write machine-readable results to this file (-exp B8..B16; defaults to B8)")
+	jsonOut := flag.String("json", "", "write machine-readable results to this file (requires -exp B9..B16)")
 	metricsRun := flag.Bool("metrics", false, "run the B10 observability-overhead experiment and write BENCH_obs.json")
 	smoke := flag.Bool("smoke", false, "with -exp B11..B16: run the reduced CI-sized sweep instead of the full one")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -85,79 +85,7 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		var data []byte
-		var table bench.Table
-		var err error
-		switch strings.ToUpper(*exp) {
-		case "", "B8":
-			results := bench.B8Results()
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B8FromResults(results)
-		case "B9":
-			results := bench.B9Results()
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B9FromResults(results)
-		case "B10":
-			results := bench.B10Results()
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B10FromResults(results)
-		case "B11":
-			var results []bench.B11Result
-			if *smoke {
-				results = bench.B11SmokeResults()
-			} else {
-				results = bench.B11Results()
-			}
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B11FromResults(results)
-		case "B12":
-			var results []bench.B12Result
-			if *smoke {
-				results = bench.B12SmokeResults()
-			} else {
-				results = bench.B12Results()
-			}
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B12FromResults(results)
-		case "B13":
-			var results []bench.B13Result
-			if *smoke {
-				results = bench.B13SmokeResults()
-			} else {
-				results = bench.B13Results()
-			}
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B13FromResults(results)
-		case "B14":
-			var results bench.B14Result
-			if *smoke {
-				results = bench.B14SmokeResults()
-			} else {
-				results = bench.B14Results()
-			}
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B14FromResults(results)
-		case "B15":
-			var results bench.B15Result
-			if *smoke {
-				results = bench.B15SmokeResults()
-			} else {
-				results = bench.B15Results()
-			}
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B15FromResults(results)
-		case "B16":
-			var results bench.B16Result
-			if *smoke {
-				results = bench.B16SmokeResults()
-			} else {
-				results = bench.B16Results()
-			}
-			data, err = json.MarshalIndent(results, "", "  ")
-			table = bench.B16FromResults(results)
-		default:
-			fail(fmt.Errorf("-json supports experiments B8 through B16, not %q", *exp))
-		}
+		data, table, err := jsonResults(*exp, *smoke)
 		if err != nil {
 			fail(err)
 		}
@@ -175,7 +103,78 @@ func main() {
 	}
 	t, ok := bench.ByID(*exp)
 	if !ok {
-		fail(fmt.Errorf("unknown experiment %q (B1..B16)", *exp))
+		fail(fmt.Errorf("unknown experiment %q (B1..B7, B9..B16)", *exp))
 	}
 	fmt.Println(render(t))
+}
+
+// jsonResults runs one experiment with machine-readable results and
+// returns them as indented JSON together with the rendered table, so
+// the -json path does not run the experiment twice. smoke selects the
+// reduced CI sweep of B11..B16.
+func jsonResults(exp string, smoke bool) ([]byte, bench.Table, error) {
+	var results any
+	var table bench.Table
+	switch strings.ToUpper(exp) {
+	case "":
+		return nil, table, fmt.Errorf("-json needs an explicit -exp (B9 through B16)")
+	case "B9":
+		r := bench.B9Results()
+		results, table = r, bench.B9FromResults(r)
+	case "B10":
+		r := bench.B10Results()
+		results, table = r, bench.B10FromResults(r)
+	case "B11":
+		var r []bench.B11Result
+		if smoke {
+			r = bench.B11SmokeResults()
+		} else {
+			r = bench.B11Results()
+		}
+		results, table = r, bench.B11FromResults(r)
+	case "B12":
+		var r []bench.B12Result
+		if smoke {
+			r = bench.B12SmokeResults()
+		} else {
+			r = bench.B12Results()
+		}
+		results, table = r, bench.B12FromResults(r)
+	case "B13":
+		var r []bench.B13Result
+		if smoke {
+			r = bench.B13SmokeResults()
+		} else {
+			r = bench.B13Results()
+		}
+		results, table = r, bench.B13FromResults(r)
+	case "B14":
+		var r bench.B14Result
+		if smoke {
+			r = bench.B14SmokeResults()
+		} else {
+			r = bench.B14Results()
+		}
+		results, table = r, bench.B14FromResults(r)
+	case "B15":
+		var r bench.B15Result
+		if smoke {
+			r = bench.B15SmokeResults()
+		} else {
+			r = bench.B15Results()
+		}
+		results, table = r, bench.B15FromResults(r)
+	case "B16":
+		var r bench.B16Result
+		if smoke {
+			r = bench.B16SmokeResults()
+		} else {
+			r = bench.B16Results()
+		}
+		results, table = r, bench.B16FromResults(r)
+	default:
+		return nil, table, fmt.Errorf("-json supports experiments B9 through B16, not %q", exp)
+	}
+	data, err := json.MarshalIndent(results, "", "  ")
+	return data, table, err
 }

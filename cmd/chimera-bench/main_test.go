@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -17,4 +18,17 @@ func runMain(args ...string) {
 func TestRunsExperiments(t *testing.T) {
 	runMain("chimera-bench", "-exp", "B6")
 	runMain("chimera-bench", "-exp", "B4", "-format", "csv")
+}
+
+// -json writes one experiment's results, so it needs an explicit -exp;
+// the retired B8 experiment has no -json output any more.
+func TestJSONNeedsExperiment(t *testing.T) {
+	for _, exp := range []string{"", "B8"} {
+		if _, _, err := jsonResults(exp, false); err == nil {
+			t.Errorf("-json with -exp %q: no error", exp)
+		}
+	}
+	if _, _, err := jsonResults("", false); !strings.Contains(err.Error(), "-exp") {
+		t.Errorf("missing -exp error does not name the flag: %v", err)
+	}
 }

@@ -2,7 +2,7 @@
 // JSON chimera-bench emits, e.g. a committed baseline against a fresh
 // run) cell by cell, benchstat-style. -exp selects the experiment
 // schema from a registry: B11 (default) compares shared-plan sweeps
-// keyed (rules, overlap, workers); B12 compares multi-session sweeps
+// keyed (rules, overlap); B12 compares multi-session sweeps
 // keyed (lines, workload); B13 compares columnar triggering-scan sweeps
 // keyed (rules); B14 compares the durable-WAL ingest and recovery runs
 // keyed (section, config); B16 compares snapshot-read scaling and
@@ -78,23 +78,32 @@ func boolPtr(b bool) *bool { return &b }
 var experiments = []experiment{
 	{
 		id:    "B11",
-		about: "shared trigger plans, keyed (rules, overlap, workers)",
+		about: "shared trigger plans, keyed (rules, overlap)",
 		metrics: []metricDef{
 			{name: "shared_ms", unit: "ms"},
-			{name: "eval_reduction", unit: "x", higherIsBetter: true},
+			{name: "memo_hit_ratio", unit: "ratio", higherIsBetter: true},
 		},
 		load: func(path string) ([]cell, error) {
-			var rs []bench.B11Result
+			// Files recorded while the determination could be sharded
+			// carry a workers count per cell; only the 1-worker cells
+			// measure the sequential determination that remains.
+			var rs []struct {
+				bench.B11Result
+				Workers int `json:"workers"`
+			}
 			if err := load(path, &rs); err != nil {
 				return nil, err
 			}
-			cells := make([]cell, len(rs))
-			for i, r := range rs {
-				cells[i] = cell{
-					key:    fmt.Sprintf("rules=%d overlap=%d workers=%d", r.Rules, r.Overlap, r.Workers),
-					vals:   []float64{r.SharedMs, r.EvalReduction},
-					parity: boolPtr(r.SameOutcomes),
+			var cells []cell
+			for _, r := range rs {
+				if r.Workers > 1 {
+					continue
 				}
+				cells = append(cells, cell{
+					key:    fmt.Sprintf("rules=%d overlap=%d", r.Rules, r.Overlap),
+					vals:   []float64{r.SharedMs, r.MemoHitRatio()},
+					parity: boolPtr(r.SameOutcomes),
+				})
 			}
 			return cells, nil
 		},
@@ -361,6 +370,8 @@ func formatVal(v float64, unit string) string {
 		return fmt.Sprintf("%.0f/s", v)
 	case "KB":
 		return fmt.Sprintf("%.0fKB", v)
+	case "ratio":
+		return fmt.Sprintf("%.3f", v)
 	default:
 		return fmt.Sprintf("%.3f%s", v, unit)
 	}

@@ -43,7 +43,7 @@ func TestRegressionRule(t *testing.T) {
 	if d := delta(100, 150); d != 50 {
 		t.Errorf("delta(100, 150) = %v%%, want 50%%", d)
 	}
-	for unit, want := range map[string]string{"x": "1.50x", "/s": "2/s", "KB": "2KB", "ms": "1.500ms"} {
+	for unit, want := range map[string]string{"x": "1.50x", "/s": "2/s", "KB": "2KB", "ms": "1.500ms", "ratio": "1.500"} {
 		if got := formatVal(1.5, unit); got != want {
 			t.Errorf("formatVal(1.5, %q) = %q, want %q", unit, got, want)
 		}

@@ -16,41 +16,45 @@ import (
 // B11 — shared trigger plans: rule-set-wide common-subexpression
 // elimination with memoized ts evaluation.
 
-// B11Result carries one (rules, overlap, workers) cell; the JSON tags
-// feed the machine-readable BENCH_cse.json emitted by chimera-bench
-// -json.
+// B11Result carries one (rules, overlap) cell; the JSON tags feed the
+// machine-readable BENCH_cse.json emitted by chimera-bench -json.
 type B11Result struct {
 	Rules   int `json:"rules"`
 	Overlap int `json:"overlap"`
-	Workers int `json:"workers"`
-	// BaseMs is the strongest pre-plan configuration (V(E) filter +
-	// incremental sweep + sharding) on the same workload.
+	// BaseMs is the per-rule recursive probe with the V(E) filter on the
+	// same workload.
 	BaseMs   float64 `json:"baseline_ms"`
 	SharedMs float64 `json:"shared_ms"`
 	Speedup  float64 `json:"speedup"`
-	// BaseTsEvals counts root-level probe evaluations (a different unit);
-	// UnsharedTsEvals and SharedTsEvals count node-level evaluations on
-	// the identical grouped probe schedule with the memo off (the MemoOff
-	// ablation) and on — EvalReduction is their ratio, the factor of ts
-	// evaluations common-subexpression sharing eliminates.
-	BaseTsEvals     int64   `json:"baseline_ts_evals"`
-	UnsharedTsEvals int64   `json:"unshared_ts_evals"`
-	SharedTsEvals   int64   `json:"shared_ts_evals"`
-	MemoHits        int64   `json:"memo_hits"`
-	EvalReduction   float64 `json:"eval_reduction"`
+	// BaseTsEvals counts root-level probe evaluations (a different
+	// unit); SharedTsEvals counts the shared plan's node-level
+	// evaluations and MemoHits the node results its memo served instead
+	// (see MemoHitRatio).
+	BaseTsEvals   int64 `json:"baseline_ts_evals"`
+	SharedTsEvals int64 `json:"shared_ts_evals"`
+	MemoHits      int64 `json:"memo_hits"`
 	// DedupRatio is expression tree nodes over live DAG nodes for the
 	// generated rule set (static sharing; see analysis.AnalyzeSharing).
 	DedupRatio   float64 `json:"dedup_ratio"`
 	SameOutcomes bool    `json:"same_triggerings"`
 }
 
-// RunB11 measures one (rules, overlap) pair across a sweep of worker
-// counts. Rules are conjunctions of depth-3 fragments drawn from a
-// shared pool sized so each fragment serves ~overlap rules
-// (workload.OverlapRules); fragments include negation and precedence, so
-// the ∃t' probe walks arrival instants and the per-instant memo
-// generation is genuinely shared across the group.
-func RunB11(nRules, overlap, blocks, eventsPerBlock int, workers []int) []B11Result {
+// MemoHitRatio is the share of node results the shared plan's memo
+// served: memo_hits / (memo_hits + shared_ts_evals), the fraction of
+// node evaluations common-subexpression sharing avoids.
+func (r B11Result) MemoHitRatio() float64 {
+	if n := r.MemoHits + r.SharedTsEvals; n > 0 {
+		return float64(r.MemoHits) / float64(n)
+	}
+	return 0
+}
+
+// RunB11 measures one (rules, overlap) cell. Rules are conjunctions of
+// depth-3 fragments drawn from a shared pool sized so each fragment
+// serves ~overlap rules (workload.OverlapRules); fragments include
+// negation and precedence, so the ∃t' probe walks arrival instants and
+// the per-instant memo generation is genuinely shared across the group.
+func RunB11(nRules, overlap, blocks, eventsPerBlock int) B11Result {
 	vocab := workload.Vocabulary(6)
 	defs := workload.OverlapRules(rand.New(rand.NewSource(71)), workload.OverlapRuleSetOptions{
 		Rules: nRules, Vocab: vocab, Overlap: overlap,
@@ -114,38 +118,27 @@ func RunB11(nRules, overlap, blocks, eventsPerBlock int, workers []int) []B11Res
 		return res, total / int64(reps)
 	}
 
-	out := make([]B11Result, 0, len(workers))
-	for _, w := range workers {
-		base, baseNs := run(rules.Options{UseFilter: true, Incremental: true, Workers: w})
-		unshared, _ := run(rules.Options{UseFilter: true, Incremental: true, SharedPlan: true, MemoOff: true, Workers: w})
-		shared, sharedNs := run(rules.Options{UseFilter: true, Incremental: true, SharedPlan: true, Workers: w})
-		red := 0.0
-		if shared.TsEvaluations > 0 {
-			red = float64(unshared.TsEvaluations) / float64(shared.TsEvaluations)
-		}
-		out = append(out, B11Result{
-			Rules: nRules, Overlap: overlap, Workers: w,
-			BaseMs:   float64(baseNs) / 1e6,
-			SharedMs: float64(sharedNs) / 1e6,
-			Speedup:  float64(baseNs) / float64(sharedNs),
-			BaseTsEvals:     base.TsEvaluations,
-			UnsharedTsEvals: unshared.TsEvaluations,
-			SharedTsEvals:   shared.TsEvaluations,
-			MemoHits:        shared.MemoHits,
-			EvalReduction:   red,
-			DedupRatio:      dedup,
-			SameOutcomes:    base.Triggerings == shared.Triggerings && unshared.Triggerings == shared.Triggerings,
-		})
+	base, baseNs := run(rules.Options{UseFilter: true})
+	shared, sharedNs := run(rules.Options{UseFilter: true, SharedPlan: true})
+	return B11Result{
+		Rules: nRules, Overlap: overlap,
+		BaseMs:        float64(baseNs) / 1e6,
+		SharedMs:      float64(sharedNs) / 1e6,
+		Speedup:       float64(baseNs) / float64(sharedNs),
+		BaseTsEvals:   base.TsEvaluations,
+		SharedTsEvals: shared.TsEvaluations,
+		MemoHits:      shared.MemoHits,
+		DedupRatio:    dedup,
+		SameOutcomes:  base.Triggerings == shared.Triggerings,
 	}
-	return out
 }
 
-// B11Results runs the full sweep (#rules × overlap × workers).
+// B11Results runs the full sweep (#rules × overlap).
 func B11Results() []B11Result {
 	var out []B11Result
 	for _, nRules := range []int{10, 50, 100} {
 		for _, overlap := range []int{1, 4, 8} {
-			out = append(out, RunB11(nRules, overlap, 30, 8, []int{1, 4})...)
+			out = append(out, RunB11(nRules, overlap, 30, 8))
 		}
 	}
 	return out
@@ -156,7 +149,7 @@ func B11Results() []B11Result {
 // stream geometry so chimera-benchcmp can hold the smoke run against
 // the committed BENCH_cse.json cell for cell.
 func B11SmokeResults() []B11Result {
-	return RunB11(50, 4, 30, 8, []int{1, 4})
+	return []B11Result{RunB11(50, 4, 30, 8)}
 }
 
 // B11FromResults renders the table for a precomputed sweep, so the
@@ -165,25 +158,26 @@ func B11FromResults(rs []B11Result) Table {
 	t := Table{
 		ID:     "B11",
 		Title:  "shared trigger plans: per-rule evaluation vs interned DAG with memoized ts",
-		Header: []string{"rules", "overlap", "workers", "base ms", "shared ms", "speedup", "ts-evals unshared", "ts-evals shared", "memo hits", "eval reduction", "dedup", "same triggerings"},
+		Header: []string{"rules", "overlap", "base ms", "shared ms", "speedup", "ts-evals shared", "memo hits", "memo hit ratio", "dedup", "same triggerings"},
 	}
 	for _, r := range rs {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(r.Rules), fmt.Sprint(r.Overlap), fmt.Sprint(r.Workers),
+			fmt.Sprint(r.Rules), fmt.Sprint(r.Overlap),
 			fmt.Sprintf("%.2f", r.BaseMs), fmt.Sprintf("%.2f", r.SharedMs),
 			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprint(r.UnsharedTsEvals), fmt.Sprint(r.SharedTsEvals),
+			fmt.Sprint(r.SharedTsEvals),
 			fmt.Sprint(r.MemoHits),
-			fmt.Sprintf("%.2fx", r.EvalReduction),
+			fmt.Sprintf("%.3f", r.MemoHitRatio()),
 			fmt.Sprintf("%.2fx", r.DedupRatio),
 			fmt.Sprint(r.SameOutcomes),
 		})
 	}
 	t.Notes = append(t.Notes,
 		"rules are 2-fragment conjunctions over a shared fragment pool; 'overlap' is the expected number of rules reusing each fragment",
-		"'ts-evals unshared' and 'ts-evals shared' count node-level evaluations on the identical grouped probe schedule with the memo off (MemoOff ablation) and on; 'eval reduction' is their ratio — the factor of ts evaluations CSE eliminates (the baseline config's root-level TsEvaluations is a different unit and is reported only in the JSON)",
+		"'base' is the per-rule recursive probe with the V(E) filter; 'shared' adds the interned DAG with memoized ts (the production configuration)",
+		"'memo hit ratio' is memo hits / (memo hits + node-level ts evaluations): the share of node results sharing served without re-evaluation (the baseline's root-level TsEvaluations is a different unit and is reported only in the JSON)",
 		"'dedup' is static sharing: expression tree nodes over live interned DAG nodes",
-		"'same triggerings' checks the shared plan and the ablation are semantically transparent on this workload")
+		"'same triggerings' checks the shared plan is semantically transparent on this workload")
 	return t
 }
 

@@ -17,15 +17,14 @@ import (
 // B13 — the columnar Event Base's triggering scan: raw single-thread
 // triggering throughput and allocation volume of the ts hot loop.
 //
-// The timed side runs the strongest single-thread support (V(E) filter
-// + incremental sweep + shared plan, Workers=1) over the columnar
-// segments (parallel timestamp/type-id/OID-id arrays probed directly by
-// the batched scan). The workload is the adversarial A + -B shape of
-// B6/B7/B8: non-monotone rules the ∃t' probe must walk arrival for
-// arrival, so the scan itself — not rule management — is what the cell
-// times. The recursive reference support (filter, sweep and plan off)
-// replays the identical stream once, untimed, and must report the same
-// triggerings.
+// The timed side runs the production support (V(E) filter + shared
+// plan) over the columnar segments (parallel timestamp/type-id/OID-id
+// arrays probed directly by the batched scan). The workload is the
+// adversarial A + -B shape of B6/B7: non-monotone rules the ∃t' probe
+// must walk arrival for arrival, so the scan itself — not rule
+// management — is what the cell times. The recursive reference support
+// (filter and plan off) replays the identical stream once, untimed, and
+// must report the same triggerings.
 
 // B13Result carries one rule-count cell; the JSON tags feed the
 // machine-readable BENCH_col.json emitted by chimera-bench -exp B13
@@ -44,10 +43,9 @@ type B13Result struct {
 	SameOutcomes bool `json:"same_triggerings"`
 }
 
-// RunB13 measures one rule-count cell. The geometry mirrors B8
-// (Vocabulary(32), 16 objects, seeds 41/42) so the two experiments
-// describe the same regime; Workers is pinned to 1 because B13 prices
-// the single-thread scan, not sharding.
+// RunB13 measures one rule-count cell over Vocabulary(32), 16 objects
+// and seeds 41/42 (the geometry of the retired B8 sharding experiment,
+// so BENCH_trigger.json describes the same regime).
 func RunB13(nRules, blocks, eventsPerBlock int) B13Result {
 	vocab := workload.Vocabulary(32)
 	r := rand.New(rand.NewSource(41))
@@ -102,7 +100,7 @@ func RunB13(nRules, blocks, eventsPerBlock int) B13Result {
 	var col workload.RunResult
 	var totalNs, totalAlloc int64
 	for i := 0; i <= reps; i++ {
-		res, ns, alloc := drive(rules.Options{UseFilter: true, Incremental: true, SharedPlan: true, Workers: 1})
+		res, ns, alloc := drive(rules.Options{UseFilter: true, SharedPlan: true})
 		col = res
 		if i > 0 {
 			totalNs += ns
@@ -110,7 +108,7 @@ func RunB13(nRules, blocks, eventsPerBlock int) B13Result {
 		}
 	}
 	colNs := totalNs / int64(reps)
-	ref, _, _ := drive(rules.Options{Workers: 1})
+	ref, _, _ := drive(rules.Options{})
 	return B13Result{
 		Rules:        nRules,
 		ColMs:        float64(colNs) / 1e6,
@@ -156,9 +154,9 @@ func B13FromResults(rs []B13Result) Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"V(E) filter + incremental sweep + shared plan at Workers=1 on the B8 workload, scanning parallel timestamp/type-id columns with interned-type bitset mention tests",
+		"V(E) filter + shared plan on non-monotone A + -B rules, scanning parallel timestamp/type-id columns with interned-type bitset mention tests",
 		"'alloc KB' is heap bytes allocated (not retained) by the measured drive, after an untimed warm-up drive has built the one-time side structures (interners, mention bitsets, arena slabs, memo tables) — what remains is consideration re-arms and segment seals; the quiet boundary check itself is allocation-free (zero-alloc assertions in internal/rules)",
-		"'same triggerings' replays the identical stream once, untimed, through the recursive reference support (filter, sweep and plan off) and compares the two supports' triggering counts")
+		"'same triggerings' replays the identical stream once, untimed, through the recursive reference support (filter and plan off) and compares the two supports' triggering counts")
 	return t
 }
 

@@ -617,128 +617,6 @@ func B7() Table {
 }
 
 // ---------------------------------------------------------------------
-// B8 — sequential reference support vs sharded + incremental support.
-
-// B8Result carries one (rules, workers) cell; the JSON tags feed the
-// machine-readable BENCH_trigger.json emitted by chimera-bench -json.
-type B8Result struct {
-	Rules        int     `json:"rules"`
-	Workers      int     `json:"workers"`
-	SeqMs        float64 `json:"sequential_ms"`
-	ShardMs      float64 `json:"sharded_ms"`
-	Speedup      float64 `json:"speedup"`
-	SeqTsEvals   int64   `json:"sequential_ts_evals"`
-	ShardTsEvals int64   `json:"sharded_ts_evals"`
-	SweepSkipped int64   `json:"sweep_skipped"`
-	SameOutcomes bool    `json:"same_triggerings"`
-}
-
-// RunB8 measures one rule count across a sweep of worker counts. The
-// sequential reference (recursive per-arrival probe, single goroutine) is
-// measured once; each sharded configuration adds the incremental sweep
-// and Workers goroutines. Rules have the adversarial A + -B shape of
-// B6/B7 — non-monotone, so the ∃t' probe cannot collapse to a single
-// boundary evaluation — over a vocabulary wide enough that most arrivals
-// are unmentioned and the sweep can skip them.
-func RunB8(nRules, blocks, eventsPerBlock int, workers []int) []B8Result {
-	vocab := workload.Vocabulary(32)
-	r := rand.New(rand.NewSource(41))
-	defs := make([]rules.Def, nRules)
-	for i := range defs {
-		a := vocab[r.Intn(len(vocab))]
-		b := vocab[r.Intn(len(vocab))]
-		defs[i] = rules.Def{
-			Name:     fmt.Sprintf("r%05d", i),
-			Event:    calculus.Conj(calculus.P(a), calculus.Neg(calculus.P(b))),
-			Priority: i,
-		}
-	}
-	reps := 20000 / nRules
-	if reps < 3 {
-		reps = 3
-	}
-	if reps > 30 {
-		reps = 30
-	}
-	run := func(opts rules.Options) (workload.RunResult, int64) {
-		var res workload.RunResult
-		var total int64
-		for i := 0; i <= reps; i++ {
-			c := clock.New()
-			b := event.NewBase()
-			s := rules.NewSupport(b, opts)
-			s.BeginTransaction(c.Now())
-			for _, d := range defs {
-				if err := s.Define(d); err != nil {
-					panic(err)
-				}
-			}
-			stream := workload.Stream(rand.New(rand.NewSource(42)), c, b, workload.StreamOptions{
-				Blocks: blocks, EventsPerBlock: eventsPerBlock, Objects: 16, Vocab: vocab,
-			})
-			start := time.Now()
-			res = workload.Drive(s, c, stream, true)
-			if i > 0 {
-				total += time.Since(start).Nanoseconds()
-			}
-		}
-		return res, total / int64(reps)
-	}
-	seq, seqNs := run(rules.Options{UseFilter: true})
-	out := make([]B8Result, 0, len(workers))
-	for _, w := range workers {
-		shard, shardNs := run(rules.Options{UseFilter: true, Incremental: true, Workers: w})
-		out = append(out, B8Result{
-			Rules: nRules, Workers: w,
-			SeqMs:      float64(seqNs) / 1e6,
-			ShardMs:    float64(shardNs) / 1e6,
-			Speedup:    float64(seqNs) / float64(shardNs),
-			SeqTsEvals: seq.TsEvaluations, ShardTsEvals: shard.TsEvaluations,
-			SweepSkipped: shard.SweepSkipped,
-			SameOutcomes: seq.Triggerings == shard.Triggerings,
-		})
-	}
-	return out
-}
-
-// B8Results runs the full sweep (#rules × workers).
-func B8Results() []B8Result {
-	var out []B8Result
-	for _, nRules := range []int{100, 1000, 10000} {
-		out = append(out, RunB8(nRules, 30, 12, []int{1, 2, 4, 8})...)
-	}
-	return out
-}
-
-// B8FromResults renders the table for a precomputed sweep, so the -json
-// emission path does not run the experiment twice.
-func B8FromResults(rs []B8Result) Table {
-	t := Table{
-		ID:     "B8",
-		Title:  "trigger determination: sequential reference vs sharded + incremental support",
-		Header: []string{"rules", "workers", "seq ms", "sharded ms", "speedup", "ts-evals seq", "ts-evals sharded", "sweep-skipped", "same triggerings"},
-	}
-	for _, r := range rs {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(r.Rules), fmt.Sprint(r.Workers),
-			fmt.Sprintf("%.2f", r.SeqMs), fmt.Sprintf("%.2f", r.ShardMs),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprint(r.SeqTsEvals), fmt.Sprint(r.ShardTsEvals),
-			fmt.Sprint(r.SweepSkipped),
-			fmt.Sprint(r.SameOutcomes),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"the sharded configurations add the incremental ∃t' sweep (calculus.Sweeper) and Workers goroutines; 'sweep-skipped' counts probe instants settled from cached signs without a ts evaluation",
-		"on a single-core host the worker sweep shows scheduling overhead only; the speedup there comes from the incremental sweep and allocation-free evaluation",
-		"'same triggerings' checks the parallel + incremental determination is semantically transparent")
-	return t
-}
-
-// B8 compares the sequential and sharded supports.
-func B8() Table { return B8FromResults(B8Results()) }
-
-// ---------------------------------------------------------------------
 // B9 — long-transaction soak: generational Event Base under consumption
 // low-watermark compaction.
 
@@ -806,7 +684,7 @@ func RunB9(mix string, nRules, blocks, eventsPerBlock int) B9Result {
 	r := rand.New(rand.NewSource(51))
 	c := clock.New()
 	b := event.NewBase()
-	s := rules.NewSupport(b, rules.Options{UseFilter: true, Incremental: true})
+	s := rules.NewSupport(b, rules.Options{UseFilter: true})
 	s.BeginTransaction(c.Now())
 	for i := 0; i < nRules; i++ {
 		cons := rules.Consuming
@@ -1097,7 +975,7 @@ func B10() Table { return B10FromResults(B10Results()) }
 
 // All runs every experiment.
 func All() []Table {
-	return []Table{B1(), B2(), B3(), B4(), B5(), B6(), B7(), B8(), B9(), B10(), B11(), B12(), B13(), B14(), B15(), B16()}
+	return []Table{B1(), B2(), B3(), B4(), B5(), B6(), B7(), B9(), B10(), B11(), B12(), B13(), B14(), B15(), B16()}
 }
 
 // ByID runs one experiment.
@@ -1117,8 +995,6 @@ func ByID(id string) (Table, bool) {
 		return B6(), true
 	case "B7":
 		return B7(), true
-	case "B8":
-		return B8(), true
 	case "B9":
 		return B9(), true
 	case "B10":

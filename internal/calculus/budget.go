@@ -17,18 +17,19 @@ var ErrGasExhausted = errors.New("calculus: gas budget exhausted")
 var ErrDeadlineExceeded = errors.New("calculus: evaluation deadline exceeded")
 
 // deadlineStride is how many charges pass between wall-clock probes (and
-// between cross-worker exhaustion checks): one time.Now() per 64 node
+// between checks of the latched exhaustion): one time.Now() per 64 node
 // evaluations keeps the deadline check off the per-node hot path while
 // bounding the overshoot after the deadline to a few microseconds of
 // evaluation work.
 const deadlineStride = 64
 
 // Budget is a per-transaction evaluation budget, shared by every
-// evaluator the transaction drives (the recursive Env, the memoized
-// PlanEval, the incremental Sweeper — including the worker goroutines of
-// a sharded CheckTriggered). The unit of gas is one node evaluation, the
-// same work TsEvaluations/MemoMisses count, so a budget is portable
-// across evaluator configurations: memo hits are free, as they should be.
+// evaluator the transaction drives (the recursive Env and the memoized
+// PlanEval of the triggering determination, and condition formulas).
+// Charges are atomic, so concurrent charges against one budget stay
+// exact. The unit of gas is one node evaluation, the same work
+// TsEvaluations/MemoMisses count, so a budget is portable across
+// evaluator configurations: memo hits are free, as they should be.
 //
 // Exhaustion aborts the evaluation in flight by panicking with a private
 // fault value; the package boundary converts it back into the typed
@@ -48,7 +49,7 @@ type Budget struct {
 	initial int64
 	// state latches the first exhaustion cause: 0 live, 1 gas,
 	// 2 deadline. Once set every subsequent charge panics again within
-	// one stride, so sibling workers stop promptly.
+	// one stride, so concurrent chargers stop promptly.
 	state       atomic.Int32
 	hasDeadline bool
 	deadline    time.Time
@@ -76,7 +77,7 @@ func NewBudget(gas int64, deadline time.Time) *Budget {
 }
 
 // Charge spends one unit of gas; exhaustion (or a previously latched
-// exhaustion by a sibling worker) aborts by panicking with a budget
+// exhaustion by another charger) aborts by panicking with a budget
 // fault. Safe for concurrent use; a nil receiver charges nothing.
 func (b *Budget) Charge() {
 	if b == nil {
@@ -169,24 +170,10 @@ func RecoverBudget(errp *error) {
 }
 
 // CatchBudget runs fn, converting a budget-fault panic raised inside it
-// into the typed error. Worker goroutines use it so an exhaustion on one
-// shard surfaces as a value the coordinator can rethrow on its own
-// goroutine (an unrecovered panic on a worker would kill the process).
+// into the typed error: the engine wraps each triggering determination
+// in it so exhaustion surfaces as a value at the block boundary.
 func CatchBudget(fn func()) (err error) {
 	defer RecoverBudget(&err)
 	fn()
 	return nil
-}
-
-// ThrowBudget re-raises a budget error previously caught by CatchBudget
-// as a budget fault, forwarding the abort across a goroutine join onto
-// the caller. A nil err is a no-op; non-budget errors must not be thrown.
-func ThrowBudget(err error) {
-	if err == nil {
-		return
-	}
-	if !errors.Is(err, ErrGasExhausted) && !errors.Is(err, ErrDeadlineExceeded) {
-		panic("calculus: ThrowBudget on a non-budget error: " + err.Error())
-	}
-	panic(budgetFault{err})
 }

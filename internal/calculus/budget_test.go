@@ -8,8 +8,7 @@ import (
 )
 
 // Gas is charged one unit per call; the charge that overdraws aborts
-// with the typed error, which the boundary handlers recover, latch and
-// forward across a goroutine join.
+// with the typed error, which the boundary handlers recover and latch.
 func TestBudgetGasAccounting(t *testing.T) {
 	b := NewBudget(3, time.Time{})
 	if _, ok := b.Deadline(); ok {
@@ -27,24 +26,6 @@ func TestBudgetGasAccounting(t *testing.T) {
 	if !errors.Is(err, ErrGasExhausted) || !errors.Is(b.Err(), ErrGasExhausted) {
 		t.Fatalf("overdraw: err %v, latched %v", err, b.Err())
 	}
-	// The fault crosses a goroutine join as a value and is rethrown.
-	var rethrown error
-	func() {
-		defer RecoverBudget(&rethrown)
-		ThrowBudget(err)
-	}()
-	if !errors.Is(rethrown, ErrGasExhausted) {
-		t.Fatalf("rethrown = %v", rethrown)
-	}
-	ThrowBudget(nil) // no-op
-	func() {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("ThrowBudget accepted a non-budget error")
-			}
-		}()
-		ThrowBudget(errors.New("other"))
-	}()
 	// Non-budget panics pass through RecoverBudget untouched.
 	func() {
 		defer func() {

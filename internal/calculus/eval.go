@@ -92,7 +92,7 @@ type Env struct {
 	// Scratch buffers recycled across evaluations, so that the hot probe
 	// loops of the Trigger Support allocate nothing in steady state. They
 	// make an Env stateful: one Env must not be shared between goroutines
-	// (the sharded Trigger Support keeps one per worker). The zero value
+	// (each Trigger Support line keeps its own). The zero value
 	// is ready to use — buffers grow on first need and are then reused.
 	oidBuf  []types.OID
 	timeBuf []clock.Time
@@ -173,21 +173,13 @@ func (env *Env) OTS(e Expr, t clock.Time, oid types.OID) TS {
 // untouched object's ots equals the vacuous sign of the expression. For
 // the unsafe shapes (e.g. -=(-=A), or A ,= -=B) the full object domain
 // of R is used.
-func (env *Env) domain(e Expr, t clock.Time) []types.OID {
-	return env.domainCached(e, nil, restrictionSafe(e), t)
-}
-
-// domainCached is domain with the expression's primitive types and
-// restriction safety precomputed (nil prims means "compute on demand").
+//
 // The result aliases env.oidBuf: it is valid until the next domain call
 // on this Env and must not be retained.
-func (env *Env) domainCached(e Expr, prims []event.Type, safe bool, t clock.Time) []types.OID {
+func (env *Env) domain(e Expr, t clock.Time) []types.OID {
 	env.Budget.Charge()
-	if env.RestrictDomain && safe {
-		if prims == nil {
-			prims = Primitives(e)
-		}
-		env.oidBuf = env.Base.AppendOIDsOfTypes(env.oidBuf[:0], prims, env.Since, t)
+	if env.RestrictDomain && restrictionSafe(e) {
+		env.oidBuf = env.Base.AppendOIDsOfTypes(env.oidBuf[:0], Primitives(e), env.Since, t)
 	} else {
 		env.oidBuf = env.Base.AppendOIDs(env.oidBuf[:0], env.Since, t)
 	}
@@ -220,14 +212,7 @@ func restrictionSafe(e Expr) bool {
 //
 // See DESIGN.md §5.1 for why the prose of Section 3.2 forces this pairing.
 func (env *Env) lift(e Expr, t clock.Time) TS {
-	return env.liftCached(e, nil, restrictionSafe(e), t)
-}
-
-// liftCached is lift with the domain parameters precomputed; the
-// incremental sweep calls it with the per-node cache so repeated probes
-// do not re-derive the primitive set.
-func (env *Env) liftCached(e Expr, prims []event.Type, safe bool, t clock.Time) TS {
-	oids := env.domainCached(e, prims, safe, t)
+	oids := env.domain(e, t)
 	if n, ok := e.(Not); ok && n.Inst {
 		if len(oids) == 0 {
 			return TS(t)

@@ -62,7 +62,7 @@ type planNode struct {
 	// set-oriented context they evaluate via the ots→ts lift.
 	instRooted bool
 	// prims and safe are the lift's precomputed domain-restriction inputs
-	// (see Env.domainCached); meaningful only when instRooted.
+	// (see Env.domain); meaningful only when instRooted.
 	prims []event.Type
 	safe  bool
 }
@@ -292,11 +292,6 @@ type PlanEval struct {
 	since clock.Time
 	// RestrictDomain mirrors Env.RestrictDomain for the lifts.
 	RestrictDomain bool
-	// DisableMemo turns every cache off while keeping the DAG walk and
-	// the work counters — the ablation baseline benchmarks use to measure
-	// exactly how many node evaluations sharing avoids on an identical
-	// probe schedule.
-	DisableMemo bool
 	// Budget, when non-nil, is charged one unit per computed node (the
 	// same work evals counts; memo hits are free). Exhaustion aborts
 	// with a budget fault (see Budget).
@@ -481,7 +476,7 @@ func (pe *PlanEval) TakeCounters() (evals, hits int64) {
 // R = (since, t], exactly as Env.TS does on the expression tree. Values
 // at the generation's instant (Begin) are memoized per node.
 func (pe *PlanEval) TS(id NodeID, t clock.Time) TS {
-	memo := t == pe.cur && !pe.DisableMemo
+	memo := t == pe.cur
 	if memo && pe.epoch[id] == pe.gen {
 		pe.hits++
 		return pe.vals[id]
@@ -545,7 +540,7 @@ func (pe *PlanEval) primTS(id NodeID, n *planNode, t clock.Time) TS {
 	return -TS(t)
 }
 
-// lift mirrors Env.liftCached on the DAG: universal lift for instance
+// lift mirrors Env.lift on the DAG: universal lift for instance
 // negation, existential lift otherwise, over the memoized object domain.
 func (pe *PlanEval) lift(id NodeID, n *planNode, t clock.Time) TS {
 	oids := pe.domain(id, n, t)
@@ -573,7 +568,7 @@ func (pe *PlanEval) lift(id NodeID, n *planNode, t clock.Time) TS {
 // generation's instant; off-instant requests compute into a scratch
 // buffer so they cannot clobber memoized slices.
 func (pe *PlanEval) domain(id NodeID, n *planNode, t clock.Time) []types.OID {
-	memo := t == pe.cur && !pe.DisableMemo
+	memo := t == pe.cur
 	if memo && pe.domEpoch[id] == pe.gen {
 		pe.hits++
 		return pe.doms[id]
@@ -602,7 +597,7 @@ func (pe *PlanEval) domain(id NodeID, n *planNode, t clock.Time) []types.OID {
 // ots mirrors Env.OTS on the DAG, with the bounded (node, oid) cache at
 // the generation's instant.
 func (pe *PlanEval) ots(id NodeID, t clock.Time, oid types.OID) TS {
-	memo := t == pe.cur && pe.OTSBound >= 0 && !pe.DisableMemo
+	memo := t == pe.cur && pe.OTSBound >= 0
 	if memo {
 		if e, ok := pe.otsCache[otsKey{id, oid}]; ok && e.gen == pe.gen {
 			pe.hits++

@@ -19,13 +19,13 @@ import (
 // Event Base differentials at the engine level: the production
 // configuration at the default segment size and at tiny segments must
 // produce byte-identical databases and identical rule-execution counts
-// to the naive reference support (recursive probe, no filter, sweep or
-// plan) on an uncompacted base — segmentation, compaction and the
+// to the naive reference support (recursive probe, no filter or plan)
+// on an uncompacted base — segmentation, compaction and the
 // columnar scan may only change how the triggering scan reads arrivals,
 // never what the rules do.
 
 func TestDifferentialSegmentedVsReference(t *testing.T) {
-	prod := rules.Options{UseFilter: true, Incremental: true, SharedPlan: true, Workers: 4}
+	prod := rules.Options{UseFilter: true, SharedPlan: true}
 	for trial := 0; trial < 15; trial++ {
 		seed := int64(7000 + trial)
 		ops := genWorkload(rand.New(rand.NewSource(seed)), 60)

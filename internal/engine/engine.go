@@ -121,7 +121,7 @@ type Options struct {
 	// configurations should leave the default.
 	SegmentSize int
 	// Metrics, when non-nil, is the registry the engine and every layer
-	// under it (Event Base, Trigger Support, incremental sweep) report
+	// under it (Event Base, Trigger Support, shared trigger plan) report
 	// into; read it back with DB.Snapshot. nil (the default) disables
 	// instrumentation entirely: every report site reduces to one
 	// branch-predictable nil check with no allocation and no atomic
@@ -201,17 +201,15 @@ func (o Options) Validate() error {
 }
 
 // DefaultOptions enables the paper's static optimization and the formal
-// triggering semantics, plus the incremental ∃t' sweep, the
-// GOMAXPROCS-sharded triggering determination and the shared trigger
-// plan with memoized evaluation (all semantically transparent; see
-// DESIGN.md §7 and §10).
+// triggering semantics, evaluated over the shared trigger plan with
+// memoized ts (semantically transparent; see DESIGN.md §7 and §10). The
+// determination runs sequentially on each transaction's goroutine;
+// concurrent transactions (MaxSessions) are the only parallelism.
 func DefaultOptions() Options {
 	return Options{
 		Support: rules.Options{
-			UseFilter:   true,
-			Incremental: true,
-			SharedPlan:  true,
-			Workers:     rules.DefaultWorkers(),
+			UseFilter:  true,
+			SharedPlan: true,
 		},
 	}
 }

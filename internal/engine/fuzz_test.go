@@ -2,7 +2,7 @@ package engine_test
 
 // FuzzEngineBlock feeds random command scripts through a fully
 // instrumented engine (metrics registry, span tracer, tiny Event Base
-// segments so compaction fires constantly, sharded triggering) and
+// segments so compaction fires constantly) and
 // asserts the structural invariants that must hold on EVERY input, valid
 // or garbage: no panic, strictly balanced BlockStart/BlockEnd and
 // TransactionStart/TransactionEnd spans, and a metrics snapshot whose
@@ -23,8 +23,7 @@ import (
 )
 
 // fuzzBalanceTracer counts span brackets. The engine processes blocks on
-// the transaction's goroutine (the sharded check joins its workers
-// before returning), so plain ints suffice.
+// the transaction's goroutine, so plain ints suffice.
 type fuzzBalanceTracer struct {
 	chimera.NopTracer
 	blockStarts, blockEnds int
@@ -69,7 +68,7 @@ show stats
 		}
 		reg := chimera.NewMetricsRegistry()
 		db := chimera.OpenWith(chimera.Options{
-			Support:           rules.Options{UseFilter: true, Incremental: true, Workers: 4},
+			Support:           rules.Options{UseFilter: true},
 			MaxRuleExecutions: 200,
 			SegmentSize:       8,
 			Metrics:           reg,

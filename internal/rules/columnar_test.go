@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"chimera/internal/calculus"
@@ -71,8 +72,8 @@ func flatBase(blocks int) func() *event.Base {
 
 // TestColumnarMatchesFlatReference is the segmentation differential:
 // over random rule sets (negation, instance lifts, precedence, forced
-// subexpression overlap) every check-path configuration — sequential
-// reference, incremental sweep, shared plan, sharded — run on the
+// subexpression overlap) every check-path configuration — recursive
+// reference with and without the filter, shared plan — run on the
 // default-size segmented base must fire the identical rule set at
 // identical activation instants as the recursive reference support on a
 // flat, uncompacted base.
@@ -85,12 +86,10 @@ func TestColumnarMatchesFlatReference(t *testing.T) {
 		AllowNegation: true, AllowInstance: true, AllowPrecedence: true}
 
 	configs := []Options{
-		{}, // sequential recursive reference
+		{}, // recursive reference
 		{UseFilter: true},
-		{Incremental: true},
-		{UseFilter: true, Incremental: true, Workers: 8}, // sharded sweep
 		{SharedPlan: true},
-		{UseFilter: true, Incremental: true, SharedPlan: true, Workers: 4}, // production
+		{UseFilter: true, SharedPlan: true}, // production
 	}
 
 	for trial := 0; trial < 8; trial++ {
@@ -134,7 +133,7 @@ func TestColumnarCompactingMatchesFlatReference(t *testing.T) {
 			defs[i] = Def{Name: fmt.Sprintf("r%02d", i), Event: calculus.GenExpr(r, gen), Priority: i % 7}
 		}
 		seed := r.Int63()
-		cfg := Options{UseFilter: true, Incremental: true, SharedPlan: true, Workers: 8}
+		cfg := Options{UseFilter: true, SharedPlan: true}
 		ref := replayBase(t, Options{}, defs, vocab, seed, 8, flatBase(8), false)
 		got := replayBase(t, cfg, defs, vocab, seed, 8,
 			func() *event.Base { return event.NewBaseSize(4) }, true)
@@ -152,7 +151,7 @@ func TestColumnarSteadyStateAllocs(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"incremental", Options{Incremental: true}},
+		{"classic", Options{}},
 		{"shared", Options{SharedPlan: true}},
 		{"shared-filtered", Options{SharedPlan: true, UseFilter: true}},
 	} {
@@ -188,6 +187,67 @@ func TestColumnarSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+	// 64 pending non-monotone rules over two consideration horizons, with
+	// the deprecated Workers field set: the determination stays on the
+	// calling goroutine and allocates nothing, so the field is inert.
+	t.Run("columnar/two-horizons", func(t *testing.T) {
+		b := event.NewBase()
+		c := clock.New()
+		s := NewSupport(b, Options{SharedPlan: true, UseFilter: true, Workers: 4})
+		s.BeginTransaction(c.Now())
+		vocab := []event.Type{createStock, modStockQty, modShowQty, event.Delete("stock")}
+		for i := 0; i < 64; i++ {
+			// A ∧ ¬B never settles to triggered once B arrived, so every
+			// rule stays in the batch check after check.
+			e := calculus.Conj(calculus.P(vocab[i%4]), calculus.Neg(calculus.P(vocab[(i+1)%4])))
+			if err := s.Define(Def{Name: fmt.Sprintf("r%02d", i), Event: e}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			if _, err := b.Append(vocab[i%4], types.OID(i%3+1), c.Tick()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.CheckTriggered(c.Tick())
+		// Consider every odd rule at one instant: the batch now spans two
+		// horizons.
+		at := c.Tick()
+		for i := 1; i < 64; i += 2 {
+			if _, err := s.Consider(fmt.Sprintf("r%02d", i), at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			if _, err := b.Append(vocab[i%4], types.OID(i%3+1), c.Tick()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func() {
+			for _, st := range s.ordered {
+				st.Triggered = false
+				st.pending = true
+			}
+			s.CheckTriggered(c.Tick())
+		}
+		for i := 0; i < 3; i++ {
+			check()
+		}
+		s.mu.Lock()
+		horizons := len(s.sinceBuf)
+		s.mu.Unlock()
+		if horizons != 2 {
+			t.Fatalf("batch spans %d horizons, want 2", horizons)
+		}
+		goroutines := runtime.NumGoroutine()
+		allocs := testing.AllocsPerRun(50, check)
+		if allocs != 0 {
+			t.Errorf("steady-state CheckTriggered allocates %.1f objects/op, want 0", allocs)
+		}
+		if g := runtime.NumGoroutine(); g != goroutines {
+			t.Errorf("goroutines %d -> %d across the checks", goroutines, g)
+		}
+	})
 }
 
 // TestColumnarProbeScanSteadyStateAllocs pins the zero-allocation

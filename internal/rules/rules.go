@@ -6,23 +6,20 @@
 // consumption, triggered flag — and decides triggering with the event
 // calculus.
 //
-// The Trigger Support comes in several configurations used by the
-// benchmark harness:
+// The Trigger Support comes in the configurations the benchmark harness
+// compares:
 //
-//   - the optimized support of Section 5.1, which consults the compiled
-//     V(E) filter and recomputes ts only for rules a new arrival is
-//     relevant to;
-//   - the naive support, which recomputes ts for every non-triggered rule
-//     at every block boundary;
+//   - the optimized support of Section 5.1 (UseFilter plus SharedPlan,
+//     the production configuration), which consults the compiled V(E)
+//     filter, recomputes ts only for rules a new arrival is relevant to,
+//     and evaluates them over the rule set's interned expression DAG
+//     with memoized ts;
+//   - the recursive per-arrival probe without the shared plan (the naive
+//     reference evaluator), with or without the V(E) filter and in its
+//     mention-only FilterMode (the B1/B7 ablations);
 //   - a boundary-only ablation that evaluates ts at the check instant
 //     instead of probing every arrival (the paper's implementation
-//     sketch, weaker than the formal ∃t' semantics);
-//   - the incremental sweep (Options.Incremental), which replaces the
-//     per-arrival recursive ts probe with calculus.Sweeper — one walk of
-//     the arrivals with per-subexpression cursor state;
-//   - the sharded determination (Options.Workers > 1), which partitions
-//     the pending rules across worker goroutines and merges the fired
-//     names back into priority order deterministically.
+//     sketch, weaker than the formal ∃t' semantics).
 //
 // A LegacySupport reproduces original Chimera (disjunctions of primitive
 // event types, constant-time type lookup) for the comparison baseline.
@@ -34,18 +31,16 @@
 // BeginTransaction, Rebind, ResetStats) take the mutex exclusively;
 // read-only operations (Rule, Rules, Triggered, Pick, Stats, TxnStart)
 // take it shared, so inspection never serializes against other readers.
-// Inside a sharded CheckTriggered the worker goroutines share nothing
-// but the Event Base, which is explicitly safe for concurrent reads;
-// each worker owns a disjoint slice of per-rule States and a private
-// scratch Env. See DESIGN.md §7 for the lock hierarchy.
+// The triggering determination runs sequentially on the calling
+// goroutine. Parallelism comes from Sessions: each concurrent
+// transaction line owns one and runs its determinations independently.
+// See DESIGN.md §7 for the lock hierarchy.
 package rules
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"chimera/internal/calculus"
 	"chimera/internal/clock"
@@ -139,8 +134,8 @@ func (d Def) Validate() error {
 //
 // The copies returned by Support.Rule share the Filter pointer with the
 // live support: a Filter is immutable after calculus.Compile, so the
-// aliasing is read-only by construction. All mutable per-rule sweep
-// state is unexported and stripped from exported copies.
+// aliasing is read-only by construction. The mutable mention bitset is
+// unexported and stripped from exported copies.
 type State struct {
 	Def Def
 	// Filter is the compiled V(E) filter. It is immutable once built —
@@ -164,10 +159,6 @@ type State struct {
 	// precedence over negation-free operands are all monotone in the
 	// growing prefix of R.)
 	monotone bool
-	// sweeper is the incremental ∃t' evaluator for this rule's current
-	// consideration window (Options.Incremental); nil until the first
-	// probe and discarded whenever the window restarts.
-	sweeper *calculus.Sweeper
 	// planRoot is the rule's root node in the support's interned DAG
 	// (Options.SharedPlan); NoNode when the shared plan is off.
 	planRoot calculus.NodeID
@@ -237,29 +228,21 @@ type Options struct {
 	// BoundaryOnly replaces the formal ∃t' probe with a single ts
 	// evaluation at the check instant (the ablation of experiment B6).
 	BoundaryOnly bool
-	// Incremental replaces the per-arrival recursive ts probe with the
-	// incremental sweep of calculus.Sweeper: one walk of the arrivals
-	// maintaining per-subexpression cursors, skipping probe instants no
-	// mentioned type arrived at. Semantically transparent — the
-	// differential tests pin it to the recursive reference probe.
+	// Incremental selected a per-rule incremental sweeper, since deleted.
+	//
+	// Deprecated: ignored.
 	Incremental bool
 	// SharedPlan hash-conses every rule's event expression into one
 	// interned DAG (calculus.Plan) and evaluates the triggering
 	// determination over it with a per-probe memo, so a subexpression
 	// shared by N rules with the same consideration horizon is evaluated
-	// once instead of N times. Semantically transparent — the differential
-	// tests pin it to the per-rule evaluators bit for bit. When set it
-	// supersedes Incremental on the check path (the per-rule sweeper
-	// cannot share work across rules); BoundaryOnly, an ablation of the
-	// probe semantics itself, still takes precedence. Mirrors the engine's
-	// DisableCompaction convention: on by default via
-	// engine.DefaultOptions, cleared to opt out.
+	// once instead of N times. It is the optimized determination path;
+	// cleared, the support runs the recursive per-arrival probe, the
+	// reference the differential tests pin it to bit for bit.
+	// BoundaryOnly, an ablation of the probe semantics itself, takes
+	// precedence. Mirrors the engine's DisableCompaction convention: on
+	// by default via engine.DefaultOptions, cleared to opt out.
 	SharedPlan bool
-	// MemoOff keeps the shared plan's grouped DAG walk but disables its
-	// memo tables (the ablation of experiment B11: it measures exactly
-	// how many node evaluations sharing avoids on an identical probe
-	// schedule). Meaningful only with SharedPlan.
-	MemoOff bool
 	// Metrics, when non-nil, is the instrument set the support reports
 	// into. Reporting happens in bulk at the end of each CheckTriggered
 	// (counter deltas, not per-rule atomics), so the enabled path adds a
@@ -268,24 +251,12 @@ type Options struct {
 	// suite in internal/engine pins metrics-on vs metrics-off runs to
 	// identical triggerings and database states.
 	Metrics *SupportMetrics
-	// Workers selects the CheckTriggered execution mode: 0 or 1 run the
-	// determination sequentially on the calling goroutine (the reference
-	// configuration), and n > 1 partitions the pending rules across n
-	// worker goroutines. Fired names are merged back into priority order
-	// deterministically, so every value produces identical results.
-	// Batches smaller than ShardMinRules stay sequential regardless —
-	// goroutine fan-out costs more than it saves there. DefaultWorkers
-	// returns the GOMAXPROCS-bounded value production configurations use.
+	// Workers selected a goroutine fan-out of CheckTriggered, since
+	// deleted: the determination always runs on the calling goroutine.
+	//
+	// Deprecated: ignored.
 	Workers int
 }
-
-// ShardMinRules is the smallest pending-rule batch CheckTriggered will
-// fan out across workers; smaller batches run in-line on the caller.
-const ShardMinRules = 32
-
-// DefaultWorkers returns the worker count a production configuration
-// should use: the scheduler's processor budget.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Stats counts the work the Trigger Support performed; the benchmark
 // harness reads them to report the effect of the static optimization.
@@ -298,9 +269,10 @@ type Stats struct {
 	RulesSkipped int64
 	// TsEvaluations counts full ts(E, t') evaluations.
 	TsEvaluations int64
-	// SweepSkipped counts probe instants the incremental sweep settled
-	// from cached sign state without a ts evaluation (its saving over the
-	// per-arrival recursive probe).
+	// SweepSkipped counts (arrival, rule) pairs the shared-plan arrival
+	// scan skipped without a ts evaluation because the arrival's type is
+	// not mentioned in the rule's V(E) (its saving over the per-arrival
+	// recursive probe).
 	SweepSkipped int64
 	// MemoHits and MemoMisses count shared-plan memo lookups
 	// (Options.SharedPlan): a hit is a node result served from the
@@ -314,12 +286,8 @@ type Stats struct {
 	Triggerings int64
 }
 
-// SupportMetrics is the Trigger Support's instrument set. The shard
-// histograms expose imbalance (rules checked and triggerings per shard
-// per check) and MergeWaitNs the time the merging goroutine spent
-// blocked on the slowest shard — the signals the sharded determination
-// of DESIGN.md §7 needs in production. A nil *SupportMetrics disables
-// reporting.
+// SupportMetrics is the Trigger Support's instrument set. A nil
+// *SupportMetrics disables reporting.
 type SupportMetrics struct {
 	Checks        *metrics.Counter
 	RulesExamined *metrics.Counter
@@ -334,17 +302,8 @@ type SupportMetrics struct {
 	MemoMisses *metrics.Counter
 	PlanNodes  *metrics.Gauge
 	PlanShared *metrics.Gauge
-	// BatchRules observes the pending-rule batch per check; ShardRules
-	// and ShardTriggerings observe per-shard loads (sharded path only).
-	BatchRules       *metrics.Histogram
-	ShardRules       *metrics.Histogram
-	ShardTriggerings *metrics.Histogram
-	// MergeWaitNs observes the coordinator's wait for the slowest shard.
-	MergeWaitNs *metrics.Histogram
-	// Workers gauges the worker count of the most recent check.
-	Workers *metrics.Gauge
-	// Sweep is handed to every rule's incremental Sweeper.
-	Sweep *calculus.SweepMetrics
+	// BatchRules observes the pending-rule batch per check.
+	BatchRules *metrics.Histogram
 }
 
 // NewSupportMetrics resolves the Trigger Support instruments from a
@@ -362,25 +321,17 @@ func NewSupportMetrics(r *metrics.Registry) *SupportMetrics {
 		Triggerings:   r.Counter("chimera_trigger_triggerings_total"),
 		BatchRules: r.Histogram("chimera_trigger_batch_rules",
 			1, 4, 16, 64, 256, 1024, 4096),
-		ShardRules: r.Histogram("chimera_trigger_shard_rules",
-			1, 4, 16, 64, 256, 1024, 4096),
-		ShardTriggerings: r.Histogram("chimera_trigger_shard_triggerings",
-			0, 1, 4, 16, 64, 256),
-		MergeWaitNs: r.Histogram("chimera_trigger_merge_wait_ns",
-			1e3, 1e4, 1e5, 1e6, 1e7, 1e8),
-		Workers:    r.Gauge("chimera_trigger_workers"),
 		MemoHits:   r.Counter("chimera_plan_memo_hits_total"),
 		MemoMisses: r.Counter("chimera_plan_memo_misses_total"),
 		PlanNodes:  r.Gauge("chimera_plan_nodes"),
 		PlanShared: r.Gauge("chimera_plan_shared_nodes"),
-		Sweep:      calculus.NewSweepMetrics(r),
 	}
 }
 
 // report publishes the delta between two Stats snapshots plus the batch
 // shape of one check. Called once per CheckTriggered with the support
 // mutex held; all instrument writes are atomic and allocation-free.
-func (m *SupportMetrics) report(before, after Stats, batch, workers int) {
+func (m *SupportMetrics) report(before, after Stats, batch int) {
 	if m == nil {
 		return
 	}
@@ -393,10 +344,9 @@ func (m *SupportMetrics) report(before, after Stats, batch, workers int) {
 	m.MemoMisses.Add(after.MemoMisses - before.MemoMisses)
 	m.Triggerings.Add(after.Triggerings - before.Triggerings)
 	m.BatchRules.Observe(int64(batch))
-	m.Workers.Set(int64(workers))
 }
 
-// add accumulates a per-shard partial into the receiver.
+// add accumulates a released Session's counters into the receiver.
 func (s *Stats) add(o Stats) {
 	s.Checks += o.Checks
 	s.RulesExamined += o.RulesExamined
@@ -439,27 +389,25 @@ type line struct {
 	// O(arrivals × listeners hit) instead of O(arrivals × rules).
 	byType   map[event.Type][]*State
 	matchAll []*State
-	// checkBuf and envs are CheckTriggered scratch, recycled across
-	// checks: the pending-rule batch, and one calculus.Env (with its
-	// allocation-free buffers) per worker shard.
+	// checkBuf and env are CheckTriggered scratch, recycled across
+	// checks: the pending-rule batch, and the recursive evaluator with
+	// its allocation-free buffers.
 	checkBuf []*State
-	envs     []*calculus.Env
-	// planWorkers holds one memoized evaluator (plus private scratch)
-	// per worker shard; sinceBuf/groupBuf order the batch by
-	// consideration horizon so rules sharing a window share a memo.
-	planWorkers []*planWorker
-	sinceBuf    []clock.Time
-	groupBuf    []*State
-	cutBuf      []int
+	env      calculus.Env
+	// pw is the shared-plan scratch (Options.SharedPlan); sinceBuf and
+	// groupBuf order the batch by consideration horizon so rules sharing
+	// a window share a memo.
+	pw       planWorker
+	sinceBuf []clock.Time
+	groupBuf []*State
 	// firedBuf backs CheckTriggered's result slice, recycled across
 	// checks: the returned names are valid until the next call.
 	firedBuf []string
 	// budget is the transaction's evaluation budget (nil = unlimited),
 	// installed by SetBudget at Begin and handed to every evaluator the
 	// determination drives. Exhaustion aborts CheckTriggered with a
-	// budget fault; worker goroutines catch it and the coordinator
-	// rethrows on its own stack, so the fault always unwinds through the
-	// caller (the engine's block flush), never through a bare goroutine.
+	// budget fault that unwinds through the caller (the engine's block
+	// flush).
 	budget *calculus.Budget
 }
 
@@ -483,9 +431,9 @@ type Support struct {
 	line
 }
 
-// planWorker is one shard's shared-plan scratch: the memoized evaluator
-// and the buffers the grouped probe loop recycles. Like calculus.Env it
-// is stateful and owned by a single goroutine at a time.
+// planWorker is a line's shared-plan scratch: the memoized evaluator
+// (nil until the first shared check) and the buffer the grouped probe
+// loop recycles. Like calculus.Env it is stateful and owned by one line.
 type planWorker struct {
 	pe        *calculus.PlanEval
 	undecided []*State
@@ -683,7 +631,7 @@ func (s *Support) sortQueue() {
 
 // Rule returns a copy of the rule's state. The copy shares the
 // immutable Filter pointer with the live support (see State) but strips
-// the unexported mutable sweep state.
+// the unexported mention bitset.
 func (s *Support) Rule(name string) (State, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -696,7 +644,6 @@ func (l *line) rule(name string) (State, bool) {
 		return State{}, false
 	}
 	cp := *st
-	cp.sweeper = nil
 	cp.mentionBase = nil
 	cp.mentionBits = nil
 	return cp, true
@@ -746,12 +693,11 @@ func (s *Support) BeginTransaction(start clock.Time) {
 		st.Triggered = false
 		st.TriggeredAt = clock.Never
 		st.pending = false
-		st.sweeper = nil
 	}
 }
 
 // Rebind points the support at a new Event Base (a new transaction's
-// log). Sweepers hold cursors into the old base, so they are discarded.
+// log).
 //
 // The rule vocabulary is interned into the fresh base here, eagerly and
 // in deterministic (priority, then expression traversal) order. The
@@ -764,9 +710,6 @@ func (s *Support) Rebind(base *event.Base) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.base = base
-	for _, st := range s.rules {
-		st.sweeper = nil
-	}
 	for _, name := range s.order {
 		st := s.rules[name]
 		if st == nil || st.Def.Event == nil {
@@ -825,11 +768,10 @@ func (l *line) notifyArrivals(occs []event.Occurrence, opts *Options) {
 	}
 }
 
-// checkOne runs the triggering determination for one rule. It mutates
-// only st and stats — both owned exclusively by the calling shard — and
-// reads the Event Base, which is safe to share across workers. env is
-// the shard's private scratch evaluator.
-func (l *line) checkOne(st *State, env *calculus.Env, now clock.Time, stats *Stats, opts *Options) {
+// checkOne runs the recursive reference determination for one rule,
+// mutating only st and the line's stats.
+func (l *line) checkOne(st *State, now clock.Time, opts *Options) {
+	env := &l.env
 	env.Base = l.base
 	env.Since = st.LastConsideration
 	env.RestrictDomain = true
@@ -837,7 +779,7 @@ func (l *line) checkOne(st *State, env *calculus.Env, now clock.Time, stats *Sta
 	var at clock.Time
 	switch {
 	case opts.BoundaryOnly:
-		stats.TsEvaluations++
+		l.stats.TsEvaluations++
 		if !l.base.Empty(st.LastConsideration, now) && env.TS(st.Def.Event, now).Active() {
 			ok, at = true, now
 		}
@@ -846,28 +788,13 @@ func (l *line) checkOne(st *State, env *calculus.Env, now clock.Time, stats *Sta
 		// so evaluating at now decides ∃t' exactly, in one evaluation.
 		// A positive ts of a negation-free expression also implies R
 		// holds occurrences, so the R ≠ ∅ guard is subsumed.
-		stats.TsEvaluations++
+		l.stats.TsEvaluations++
 		if v := env.TS(st.Def.Event, now); v.Active() {
 			ok, at = true, v.Time()
 		}
-	case opts.Incremental:
-		if st.sweeper == nil {
-			st.sweeper = calculus.NewSweeper(st.Def.Event, st.LastConsideration, true)
-			if opts.Metrics != nil {
-				st.sweeper.SetMetrics(opts.Metrics.Sweep)
-			}
-		} else if st.sweeper.Since() != st.LastConsideration {
-			// The window restarted (a consideration); rewind the compiled
-			// sweeper in place instead of re-allocating it.
-			st.sweeper.Reset(st.LastConsideration)
-		}
-		res := st.sweeper.Advance(env, now)
-		stats.TsEvaluations += res.Evals
-		stats.SweepSkipped += res.Skipped
-		ok, at = res.Fired, res.At
 	default:
 		probeFrom := st.lastProbe
-		stats.TsEvaluations += int64(l.base.CountArrivals(probeFrom, now)) + 1
+		l.stats.TsEvaluations += int64(l.base.CountArrivals(probeFrom, now)) + 1
 		ok, at = env.TriggeredAfter(st.Def.Event, probeFrom, now)
 	}
 	st.lastProbe = now
@@ -875,7 +802,7 @@ func (l *line) checkOne(st *State, env *calculus.Env, now clock.Time, stats *Sta
 	if ok {
 		st.Triggered = true
 		st.TriggeredAt = at
-		stats.Triggerings++
+		l.stats.Triggerings++
 	}
 }
 
@@ -883,14 +810,7 @@ func (l *line) checkOne(st *State, env *calculus.Env, now clock.Time, stats *Sta
 // for every non-triggered rule (skipping, under the optimization, rules
 // with no relevant arrival) it decides T(r, now) and flips the triggered
 // flag. It returns the names of newly triggered rules in priority order.
-//
-// With Options.Workers > 1 the examined rules are partitioned into
-// contiguous shards checked by worker goroutines. Per-rule outcomes are
-// independent (each worker owns a disjoint set of States plus a private
-// Env, and the Event Base is read-only for the duration), so the only
-// cross-shard effects are the Stats partials, summed after the join, and
-// the fired names, collected from the priority-ordered batch after the
-// join — the result is bit-identical to the sequential run.
+// The determination runs sequentially on the calling goroutine.
 func (s *Support) CheckTriggered(now clock.Time) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -918,71 +838,15 @@ func (l *line) checkTriggered(now clock.Time, opts *Options, plan *calculus.Plan
 		batch = append(batch, st)
 	}
 	l.checkBuf = batch
-	workers := opts.Workers
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	if workers < 2 || len(batch) < ShardMinRules {
-		workers = 1
-	}
 	if plan != nil && !opts.BoundaryOnly {
-		l.checkShared(batch, now, workers, m, opts, plan)
-	} else if workers == 1 {
-		for len(l.envs) < 1 {
-			l.envs = append(l.envs, &calculus.Env{})
-		}
-		l.envs[0].Budget = l.budget
-		for _, st := range batch {
-			l.checkOne(st, l.envs[0], now, &l.stats, opts)
-		}
+		l.checkShared(batch, now, plan)
 	} else {
-		for len(l.envs) < workers {
-			l.envs = append(l.envs, &calculus.Env{})
-		}
-		for _, env := range l.envs {
-			env.Budget = l.budget
-		}
-		partials := make([]Stats, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * len(batch) / workers
-			hi := (w + 1) * len(batch) / workers
-			wg.Add(1)
-			go func(shard []*State, env *calculus.Env, out *Stats, errp *error) {
-				defer wg.Done()
-				// A budget fault must not unwind a bare goroutine (that
-				// would kill the process): catch it here, rethrow on the
-				// coordinator after the join.
-				*errp = calculus.CatchBudget(func() {
-					for _, st := range shard {
-						l.checkOne(st, env, now, out, opts)
-					}
-				})
-			}(batch[lo:hi], l.envs[w], &partials[w], &errs[w])
-		}
-		var waitStart time.Time
-		if m != nil {
-			waitStart = time.Now()
-		}
-		wg.Wait()
-		if m != nil {
-			m.MergeWaitNs.Observe(time.Since(waitStart).Nanoseconds())
-			for w := 0; w < workers; w++ {
-				lo := w * len(batch) / workers
-				hi := (w + 1) * len(batch) / workers
-				m.ShardRules.Observe(int64(hi - lo))
-				m.ShardTriggerings.Observe(partials[w].Triggerings)
-			}
-		}
-		for w := range partials {
-			l.stats.add(partials[w])
-		}
-		for _, err := range errs {
-			calculus.ThrowBudget(err)
+		l.env.Budget = l.budget
+		for _, st := range batch {
+			l.checkOne(st, now, opts)
 		}
 	}
-	m.report(statsBefore, l.stats, len(batch), workers)
+	m.report(statsBefore, l.stats, len(batch))
 	if m != nil && plan != nil {
 		m.PlanNodes.Set(int64(plan.Live()))
 		m.PlanShared.Set(int64(plan.Shared()))
@@ -1001,15 +865,12 @@ func (l *line) checkTriggered(now clock.Time, opts *Options, plan *calculus.Plan
 
 // checkShared runs the triggering determination over the interned DAG:
 // the batch is reordered by consideration horizon (rules sharing a
-// horizon share a probe memo), partitioned across workers at group
-// boundaries — a group's memo must stay with one worker, so shards are
-// contiguous runs of whole groups, balanced by rule count — and each
-// worker walks its shard group by group with a private memoized
-// evaluator. Per-rule outcomes are independent, so neither the
-// reordering nor the partition can change results; the caller collects
-// fired names from the priority-ordered batch, keeping the merge
-// bit-identical to the sequential reference.
-func (l *line) checkShared(batch []*State, now clock.Time, workers int, m *SupportMetrics, opts *Options, plan *calculus.Plan) {
+// horizon share a probe memo) and walked group by group with the line's
+// memoized evaluator. Per-rule outcomes are independent, so the
+// reordering cannot change results; the caller collects fired names
+// from the priority-ordered batch, keeping the result bit-identical to
+// the recursive reference.
+func (l *line) checkShared(batch []*State, now clock.Time, plan *calculus.Plan) {
 	// Order by horizon in first-appearance order without sorting: one
 	// scan collects the distinct horizons (typically one or two), one
 	// scan per horizon buckets the rules. Buffers recycle across checks.
@@ -1038,96 +899,27 @@ func (l *line) checkShared(batch []*State, now clock.Time, workers int, m *Suppo
 		}
 		grouped = l.groupBuf
 	}
-	for len(l.planWorkers) < workers {
-		pe := calculus.NewPlanEval(plan)
-		pe.DisableMemo = opts.MemoOff
+	pw := &l.pw
+	if pw.pe == nil {
+		pw.pe = calculus.NewPlanEval(plan)
 		// The group walk feeds every arrival to the evaluator in
 		// timestamp order, so the prim cursors apply.
-		pe.Track(true)
-		l.planWorkers = append(l.planWorkers, &planWorker{pe: pe})
+		pw.pe.Track(true)
 	}
-	for _, pw := range l.planWorkers {
-		pw.pe.Budget = l.budget
-	}
-	// Cut the horizon-ordered batch into at most `workers` contiguous
-	// shards, each ending on a group boundary (splitting a group across
-	// workers would duplicate its memo work in every shard).
-	cuts := l.cutBuf[:0]
-	i := 0
-	for w := workers; w > 0 && i < len(grouped); w-- {
-		target := (len(grouped) - i + w - 1) / w
-		end := i
-		for end-i < target && end < len(grouped) {
-			h := grouped[end].LastConsideration
-			for end < len(grouped) && grouped[end].LastConsideration == h {
-				end++
-			}
-		}
-		cuts = append(cuts, end)
-		i = end
-	}
-	l.cutBuf = cuts
-	if len(cuts) <= 1 {
-		// One group (or one shard's worth, or an empty batch): run on
-		// the caller, sharing its memo across the whole batch.
-		l.checkSharedRange(grouped, l.planWorkers[0], now, &l.stats)
-		return
-	}
-	partials := make([]Stats, len(cuts))
-	errs := make([]error, len(cuts))
-	var wg sync.WaitGroup
-	start := 0
-	for w, end := range cuts {
-		wg.Add(1)
-		go func(shard []*State, pw *planWorker, out *Stats, errp *error) {
-			defer wg.Done()
-			// Budget faults are caught per worker and rethrown by the
-			// coordinator after the join (see checkTriggered).
-			*errp = calculus.CatchBudget(func() {
-				l.checkSharedRange(shard, pw, now, out)
-			})
-		}(grouped[start:end], l.planWorkers[w], &partials[w], &errs[w])
-		start = end
-	}
-	var waitStart time.Time
-	if m != nil {
-		waitStart = time.Now()
-	}
-	wg.Wait()
-	if m != nil {
-		m.MergeWaitNs.Observe(time.Since(waitStart).Nanoseconds())
-		start = 0
-		for w, end := range cuts {
-			m.ShardRules.Observe(int64(end - start))
-			m.ShardTriggerings.Observe(partials[w].Triggerings)
-			start = end
-		}
-	}
-	for w := range partials {
-		l.stats.add(partials[w])
-	}
-	for _, err := range errs {
-		calculus.ThrowBudget(err)
-	}
-}
-
-// checkSharedRange walks one contiguous slice of the horizon-ordered
-// batch, handing each run of equal horizons to checkGroup, then drains
-// the evaluator's work counters into the shard's stats.
-func (l *line) checkSharedRange(rs []*State, pw *planWorker, now clock.Time, stats *Stats) {
-	for len(rs) > 0 {
+	pw.pe.Budget = l.budget
+	for rs := grouped; len(rs) > 0; {
 		since := rs[0].LastConsideration
 		j := 1
 		for j < len(rs) && rs[j].LastConsideration == since {
 			j++
 		}
-		l.checkGroup(rs[:j], pw, now, stats)
+		l.checkGroup(rs[:j], now)
 		rs = rs[j:]
 	}
 	evals, hits := pw.pe.TakeCounters()
-	stats.TsEvaluations += evals
-	stats.MemoMisses += evals
-	stats.MemoHits += hits
+	l.stats.TsEvaluations += evals
+	l.stats.MemoMisses += evals
+	l.stats.MemoHits += hits
 }
 
 // checkGroup decides triggering for rules sharing one consideration
@@ -1135,10 +927,11 @@ func (l *line) checkSharedRange(rs []*State, pw *planWorker, now clock.Time, sta
 // arrival instant in (lastProbe, now] and then now itself, earliest
 // active probe wins, monotone rules collapsing to one evaluation at now
 // with the activation instant as TriggeredAt — but evaluates through
-// the worker's memoized DAG evaluator, so rules sharing subexpressions
+// the line's memoized DAG evaluator, so rules sharing subexpressions
 // (usually whole probes) share the work: one memo generation per probe
 // instant serves the entire group.
-func (l *line) checkGroup(group []*State, pw *planWorker, now clock.Time, stats *Stats) {
+func (l *line) checkGroup(group []*State, now clock.Time) {
+	pw, stats := &l.pw, &l.stats
 	since := group[0].LastConsideration
 	if l.base.Empty(since, now) {
 		// R = ∅: the system stays reactive, nothing can trigger (and a
@@ -1170,7 +963,7 @@ func (l *line) checkGroup(group []*State, pw *planWorker, now clock.Time, stats 
 	}
 	lastProbed := clock.Never
 	if len(und) > 0 && minLo < now {
-		lastProbed, und = l.probeCols(pe, und, since, minLo, now, stats)
+		lastProbed, und = l.probeCols(pe, und, since, minLo, now)
 	}
 	if lastProbed != now {
 		pe.Begin(now)
@@ -1212,7 +1005,8 @@ func (l *line) checkGroup(group []*State, pw *planWorker, now clock.Time, stats 
 // bitset load, so the per-(arrival × rule) work is pure arithmetic.
 // Returns the last probed instant and the still-undecided remainder of
 // und (filtered in place).
-func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now clock.Time, stats *Stats) (clock.Time, []*State) {
+func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now clock.Time) (clock.Time, []*State) {
+	stats := &l.stats
 	for _, st := range und {
 		st.ensureMentionTIDs(l.base)
 	}
@@ -1247,9 +1041,8 @@ func (l *line) probeCols(pe *calculus.PlanEval, und []*State, since, minLo, now 
 				}
 				if !st.mentionedTID(tid) {
 					// No variation of the rule's formula matches this
-					// arrival, so its activation cannot change at t — the
-					// same soundness argument as the incremental sweep's
-					// instant skip.
+					// arrival, so its activation cannot change at t (§4.4:
+					// a sign can flip only at a relevant arrival).
 					stats.SweepSkipped++
 					kept = append(kept, st)
 					continue
@@ -1297,9 +1090,18 @@ func (l *line) triggeredNames(filter func(Def) bool) []string {
 }
 
 // Pick returns the highest-priority triggered rule passing the filter.
+// It allocates nothing: the engine calls it once per consideration.
 func (s *Support) Pick(filter func(Def) bool) (string, bool) {
-	if names := s.Triggered(filter); len(names) > 0 {
-		return names[0], true
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.line.pick(filter)
+}
+
+func (l *line) pick(filter func(Def) bool) (string, bool) {
+	for _, st := range l.ordered {
+		if st.Triggered && (filter == nil || filter(st.Def)) {
+			return st.Def.Name, true
+		}
 	}
 	return "", false
 }
@@ -1340,7 +1142,5 @@ func (l *line) consider(name string, now clock.Time) (Consideration, error) {
 	st.LastConsideration = now
 	st.lastProbe = now
 	st.pending = false
-	// st.sweeper is kept: the next check notices the window restart via
-	// Sweeper.Since and rewinds it in place.
 	return c, nil
 }

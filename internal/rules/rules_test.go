@@ -196,7 +196,7 @@ func TestFilterSkipsPureNegativeArrival(t *testing.T) {
 	s, b, c := newSupport(t, Options{UseFilter: true})
 	e := calculus.Conj(calculus.P(createStock), calculus.Neg(calculus.P(modStockQty)))
 	s.Define(Def{Name: "r", Event: e})
-	s.CheckTriggered(c.Now()) // settle the fresh rule's pending state
+	s.CheckTriggered(c.Now())       // settle the fresh rule's pending state
 	log(t, s, b, c, modStockQty, 1) // pure Δ− arrival
 	s.ResetStats()
 	if fired := s.CheckTriggered(c.Now()); len(fired) != 0 {
@@ -363,5 +363,41 @@ func TestLegacySupport(t *testing.T) {
 	}
 	if err := s.Consider("ghost"); err == nil {
 		t.Error("consider of unknown rule accepted")
+	}
+}
+
+// Pick runs once per consideration in the engine's rule loop, so it must
+// not allocate while triggered rules are present — on the Support and on
+// a Session alike.
+func TestPickAllocationFree(t *testing.T) {
+	s, b, c := newSupport(t, Options{UseFilter: true, SharedPlan: true})
+	for _, name := range []string{"a", "b", "c"} {
+		if err := s.Define(Def{Name: name, Event: calculus.P(createStock)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log(t, s, b, c, createStock, 1)
+	if fired := s.CheckTriggered(c.Now()); len(fired) != 3 {
+		t.Fatalf("fired = %v, want all three rules", fired)
+	}
+	immediate := func(d Def) bool { return d.Coupling == Immediate }
+	sb := event.NewBase()
+	sess := s.NewSession(sb, c.Now())
+	defer sess.Release()
+	occ, err := sb.Append(createStock, 1, c.Tick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.NotifyArrivals([]event.Occurrence{occ})
+	if fired := sess.CheckTriggered(c.Now()); len(fired) != 3 {
+		t.Fatalf("session fired = %v, want all three rules", fired)
+	}
+	for _, v := range []View{s, sess} {
+		if name, ok := v.Pick(immediate); !ok || name != "a" {
+			t.Fatalf("%T.Pick = %q, %v; want the first triggered rule", v, name, ok)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { v.Pick(immediate) }); allocs != 0 {
+			t.Errorf("%T.Pick allocates %.1f objects/op, want 0", v, allocs)
+		}
 	}
 }

@@ -51,7 +51,7 @@ var (
 
 // Session is one concurrent transaction line's Trigger Support state: a
 // private set of per-rule records (last consideration, triggered flag,
-// probe cursors, sweepers, memo scratch) over the Support's shared,
+// probe cursors, memo scratch) over the Support's shared,
 // immutable rule registry — definitions, compiled V(E) filters and the
 // interned plan DAG stay global, exactly the split the multi-session
 // engine needs. Sessions of one Support run their determinations fully
@@ -196,12 +196,12 @@ func (sess *Session) Triggered(filter func(Def) bool) []string {
 	return sess.line.triggeredNames(filter)
 }
 
-// Pick returns the session's highest-priority triggered rule.
+// Pick returns the session's highest-priority triggered rule, without
+// allocating.
 func (sess *Session) Pick(filter func(Def) bool) (string, bool) {
-	if names := sess.Triggered(filter); len(names) > 0 {
-		return names[0], true
-	}
-	return "", false
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.line.pick(filter)
 }
 
 // RestoreTriggered reinstates one rule's triggered flag in this session

@@ -12,9 +12,7 @@ import (
 // over randomized rule sets with forced subexpression overlap (a small
 // fragment pool spliced into every other rule), the shared-plan engine
 // must fire the identical rule set at identical activation instants as
-// the plain sequential reference — sequential, incremental, and sharded,
-// Workers ∈ {1, 4}. Run under -race this also exercises the per-worker
-// evaluator isolation.
+// the recursive reference, with and without the V(E) filter.
 func TestSharedPlanMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	vocab := calculus.DefaultVocabulary()
@@ -24,11 +22,8 @@ func TestSharedPlanMatchesReference(t *testing.T) {
 		AllowNegation: true, AllowInstance: true, AllowPrecedence: true}
 
 	configs := []Options{
-		{SharedPlan: true},                                              // plain grouped path
-		{UseFilter: true, SharedPlan: true},                             // plus the V(E) gate
-		{Incremental: true, SharedPlan: true},                           // SharedPlan supersedes the sweep
-		{UseFilter: true, Incremental: true, SharedPlan: true, Workers: 4},
-		{SharedPlan: true, Workers: 4},
+		{SharedPlan: true},                  // plain grouped path
+		{UseFilter: true, SharedPlan: true}, // plus the V(E) gate
 	}
 
 	for trial := 0; trial < 10; trial++ {
@@ -166,10 +161,9 @@ func TestCheckTriggeredSteadyStateAllocs(t *testing.T) {
 		opts Options
 	}{
 		{"classic", Options{}},
-		{"incremental", Options{Incremental: true}},
 		{"shared", Options{SharedPlan: true}},
 		// With the filter on, the steady-state batch is empty — the
-		// shared path must not pay for its parallel machinery then.
+		// shared path must not pay for its grouping machinery then.
 		{"shared-filtered", Options{SharedPlan: true, UseFilter: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,7 +188,7 @@ func TestCheckTriggeredSteadyStateAllocs(t *testing.T) {
 				}
 			}
 			// Warm every recycled buffer (fired slice, group buffers,
-			// memo tables, sweeper state).
+			// memo tables).
 			for i := 0; i < 3; i++ {
 				s.CheckTriggered(c.Tick())
 			}

@@ -178,7 +178,7 @@ func replayCompacting(t *testing.T, o Options, defs []Def, vocab []event.Type, s
 }
 
 // TestCompactingMatchesUncompactedReference is the tentpole differential:
-// the segmented base with sharded + incremental determination and
+// the segmented base with the V(E)-filtered determination and
 // per-block low-watermark compaction must fire the identical rule set at
 // identical instants as the sequential support over a flat uncompacted
 // base, on random consuming-rule expression/history pairs.
@@ -198,11 +198,11 @@ func TestCompactingMatchesUncompactedReference(t *testing.T) {
 		}
 		seed := r.Int63()
 		ref := replayCompacting(t, Options{}, defs, vocab, seed, 8, false)
-		got := replayCompacting(t, Options{UseFilter: true, Incremental: true, Workers: 8},
+		got := replayCompacting(t, Options{UseFilter: true},
 			defs, vocab, seed, 8, true)
 		for i := range ref {
 			if !reflect.DeepEqual(ref[i], got[i]) {
-				t.Fatalf("trial %d round %d: uncompacted sequential fired %v, compacting sharded fired %v",
+				t.Fatalf("trial %d round %d: uncompacted reference fired %v, compacting run fired %v",
 					trial, i, ref[i], got[i])
 			}
 		}
@@ -221,7 +221,7 @@ func TestPreservingSurvivesConsumingChurn(t *testing.T) {
 	compacted := event.NewBaseSize(4)
 	flat := event.NewBaseSize(1 << 20)
 	c := clock.New()
-	s := NewSupport(compacted, Options{UseFilter: true, Incremental: true})
+	s := NewSupport(compacted, Options{UseFilter: true})
 	s.BeginTransaction(c.Now())
 	if err := s.Define(Def{Name: "audit", Event: calculus.P(createStock),
 		Consumption: Preserving, Priority: 99}); err != nil {

@@ -51,9 +51,8 @@ func TestTorture_Differential_DegradationModes(t *testing.T) {
 	}
 	configs := map[string]chimera.Options{
 		"optimized": chimera.DefaultOptions(),
-		"naive": {Support: rules.Options{
-			UseFilter: false, Incremental: false, SharedPlan: false, Workers: 1}},
-		"budgeted": adversarialOpts(100_000_000),
+		"naive":     {Support: rules.Options{UseFilter: false, SharedPlan: false}},
+		"budgeted":  adversarialOpts(100_000_000),
 	}
 	for pname, program := range programs {
 		t.Run(pname, func(t *testing.T) {

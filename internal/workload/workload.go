@@ -232,9 +232,7 @@ type RunResult struct {
 	TsEvaluations int64
 	RulesExamined int64
 	RulesSkipped  int64
-	SweepSkipped  int64
 	MemoHits      int64
-	MemoMisses    int64
 }
 
 // Drive replays pre-generated blocks through a Support: notify, check,
@@ -258,8 +256,6 @@ func Drive(s *rules.Support, c *clock.Clock, blocks []Block, consider bool) RunR
 		TsEvaluations: st.TsEvaluations,
 		RulesExamined: st.RulesExamined,
 		RulesSkipped:  st.RulesSkipped,
-		SweepSkipped:  st.SweepSkipped,
 		MemoHits:      st.MemoHits,
-		MemoMisses:    st.MemoMisses,
 	}
 }
